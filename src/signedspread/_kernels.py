@@ -1,9 +1,10 @@
-"""Numerical kernels, each with a numba and a pure-numpy implementation.
+"""Numerical kernels: the broadcast round and the switching scan.
 
-The active backend is chosen from the environment variable
+One broadcast round and child expansion run on a CSR adjacency in numpy.
+The switching scan behind the frustration index exists twice, compiled
+with numba and in pure numpy; the environment variable
 SIGNEDSPREAD_BACKEND ("numba" or "numpy"; unset/auto picks numba when it
-is importable and numpy otherwise). Both implementations stay importable
-side by side so the parity tests and the benchmark can compare them.
+is importable and numpy otherwise) chooses between those two.
 
 Label codes: 0 = Zero (uninformed), 1 = A, 2 = -A, 3 = C (confused).
 A Zero vertex adopts the unique signed value it hears from informed
@@ -50,48 +51,64 @@ def resolve_backend(override: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pure-numpy implementations
+# broadcast round on a CSR adjacency: row w of (indptr, nbrs, sgn) lists the
+# neighbors of w and the edge signs; rows[e] is the vertex owning entry e
+
+# value a label transmits: A +1, -A -1, Zero and C nothing
+_SIGNAL = np.array([0, 1, -1, 0], dtype=np.int8)
+# hearing bit of a received signal, indexed by the signal: +1 -> A, and
+# -1, which numpy reads as the last entry, -> -A
+_HEARS = np.array([0, INFO_A, INFO_NEG_A], dtype=np.int8)
 
 
-def step_numpy(pos_adj, neg_adj, labels, v, info):
-    """One synchronous round after placing `info` on Zero vertex `v`."""
-    gp = labels.copy()
-    gp[v] = info
-    plus = gp == INFO_A
-    minus = gp == INFO_NEG_A
-    hears_p = (pos_adj & plus).any(axis=1) | (neg_adj & minus).any(axis=1)
-    hears_m = (pos_adj & minus).any(axis=1) | (neg_adj & plus).any(axis=1)
-    zero = gp == ZERO
-    gp[zero & hears_p & ~hears_m] = INFO_A
-    gp[zero & hears_m & ~hears_p] = INFO_NEG_A
-    gp[zero & hears_p & hears_m] = CONFUSED
-    return gp
+def csr_adjacency(n, edges):
+    """(indptr, nbrs, sgn, rows) of an undirected (u, v, sign) edge list."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    src = np.concatenate((e[:, 0], e[:, 1]))
+    order = np.argsort(src, kind="stable")
+    nbrs = np.concatenate((e[:, 1], e[:, 0]))[order]
+    sgn = np.concatenate((e[:, 2], e[:, 2])).astype(np.int8)[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, nbrs, sgn, src[order]
 
 
-def expand_numpy(pos_adj, neg_adj, labels, allow_neg):
-    """All child states of `labels`, one per (Zero vertex, placement value).
+def place_and_round(csr, labels, verts, infos):
+    """Children of `labels`, row i placing infos[i] on Zero vertex verts[i].
 
-    Rows are ordered by vertex ascending, value A before -A, which is the
-    lexicographic order the solvers rely on. Returns (children, moves,
-    ccounts) where ccounts[i] is the confused-vertex count of child i.
+    A Zero vertex's hearing is a bit set (1: hears A, 2: hears -A) whose
+    value is its new label code. Placing on v only adds v's own row of
+    signals to what the current state sends, so the hearing of the
+    current state is computed once and each row ORs in its vertex's row.
+    Costs O(n + m) plus O(n + deg v) per row; rows keep labels' dtype.
     """
-    n = labels.shape[0]
-    zeros = np.flatnonzero(labels == ZERO)
-    infos = (INFO_A, INFO_NEG_A) if allow_neg else (INFO_A,)
-    k = len(zeros) * len(infos)
-    children = np.empty((k, n), dtype=np.int8)
-    moves = np.empty((k, 2), dtype=np.int64)
-    ccounts = np.empty(k, dtype=np.int64)
-    row = 0
-    for v in zeros:
-        for info in infos:
-            child = step_numpy(pos_adj, neg_adj, labels, int(v), info)
-            children[row] = child
-            moves[row, 0] = v
-            moves[row, 1] = info
-            ccounts[row] = int((child == CONFUSED).sum())
-            row += 1
-    return children, moves, ccounts
+    indptr, nbrs, sgn, rows = csr
+    sig = _SIGNAL[labels][nbrs] * sgn
+    heard = np.zeros(labels.shape[0], dtype=np.int8)
+    heard[rows[sig > 0]] = INFO_A
+    heard[rows[sig < 0]] |= INFO_NEG_A
+    zero = labels == ZERO
+    base = labels.copy()
+    base[zero] = heard[zero]
+
+    k = len(verts)
+    lo = indptr[verts]
+    deg = indptr[verts + 1] - lo
+    # CSR entries of each candidate's row, concatenated, and their output row
+    row = np.repeat(np.arange(k), deg)
+    ent = np.arange(row.shape[0]) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+    w = nbrs[ent]
+    # only Zero neighbors listen; the bit is 0 for the others. The graph is
+    # simple, so no (row, w) pair repeats and the fancy |= loses no bit.
+    bits = _HEARS[sgn[ent] * _SIGNAL[infos][row]] * zero[w]
+    children = np.repeat(base[None], k, axis=0)
+    children[row, w] |= bits
+    children[np.arange(k), verts] = infos
+    return children
+
+
+# ---------------------------------------------------------------------------
+# pure-numpy switching scan
 
 
 def frustration_scan_numpy(shift_u, shift_v, eneg, n_masks):
@@ -146,101 +163,9 @@ def frustration_collect_numpy(shift_u, shift_v, eneg, n_masks, target):
 
 
 # ---------------------------------------------------------------------------
-# numba implementations (CSR adjacency: indptr, nbrs, sgn aligned to nbrs)
+# numba switching scan
 
 if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def step_numba(indptr, nbrs, sgn, labels, v, info):
-        n = labels.shape[0]
-        out = labels.copy()
-        out[v] = info
-        for w in range(n):
-            if w == v or labels[w] != ZERO:
-                continue
-            seen_p = False
-            seen_m = False
-            for e in range(indptr[w], indptr[w + 1]):
-                z = nbrs[e]
-                lz = info if z == v else labels[z]
-                if lz == INFO_A:
-                    val = sgn[e]
-                elif lz == INFO_NEG_A:
-                    val = -sgn[e]
-                else:
-                    continue
-                if val > 0:
-                    seen_p = True
-                else:
-                    seen_m = True
-                if seen_p and seen_m:
-                    break
-            if seen_p and seen_m:
-                out[w] = CONFUSED
-            elif seen_p:
-                out[w] = INFO_A
-            elif seen_m:
-                out[w] = INFO_NEG_A
-        return out
-
-    @njit(cache=True)
-    def expand_numba(indptr, nbrs, sgn, labels, allow_neg):
-        n = labels.shape[0]
-        nz = 0
-        for v in range(n):
-            if labels[v] == ZERO:
-                nz += 1
-        per = 2 if allow_neg else 1
-        k = nz * per
-        children = np.empty((k, n), dtype=np.int8)
-        moves = np.empty((k, 2), dtype=np.int64)
-        ccounts = np.empty(k, dtype=np.int64)
-        row = 0
-        for v in range(n):
-            if labels[v] != ZERO:
-                continue
-            for s in range(per):
-                info = s + 1
-                out = children[row]
-                cc = 0
-                for i in range(n):
-                    out[i] = labels[i]
-                out[v] = info
-                for w in range(n):
-                    lw = labels[w]
-                    if lw == CONFUSED:
-                        cc += 1
-                    if w == v or lw != ZERO:
-                        continue
-                    seen_p = False
-                    seen_m = False
-                    for e in range(indptr[w], indptr[w + 1]):
-                        z = nbrs[e]
-                        lz = info if z == v else labels[z]
-                        if lz == INFO_A:
-                            val = sgn[e]
-                        elif lz == INFO_NEG_A:
-                            val = -sgn[e]
-                        else:
-                            continue
-                        if val > 0:
-                            seen_p = True
-                        else:
-                            seen_m = True
-                        if seen_p and seen_m:
-                            break
-                    if seen_p and seen_m:
-                        out[w] = CONFUSED
-                        cc += 1
-                    elif seen_p:
-                        out[w] = INFO_A
-                    elif seen_m:
-                        out[w] = INFO_NEG_A
-                moves[row, 0] = v
-                moves[row, 1] = info
-                ccounts[row] = cc
-                row += 1
-        return children, moves, ccounts
 
     @njit(cache=True)
     def frustration_scan_numba(shift_u, shift_v, eneg, n_masks):

@@ -72,51 +72,41 @@ class Strategy:
 
 
 class StepContext:
-    """Per-graph adjacency tables for the propagation kernels."""
+    """Per-graph CSR adjacency for the broadcast-round kernel."""
 
-    def __init__(self, g: SignedGraph, backend: str | None = None):
+    # the round runs in numpy; numba serves only the frustration scan
+    backend = "numpy"
+
+    def __init__(self, g: SignedGraph):
         self.graph = g
-        self.backend = _kernels.resolve_backend(backend)
-        n = g.n
-        if self.backend == "numba":
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            for v in range(n):
-                indptr[v + 1] = indptr[v] + g.degree(v)
-            nbrs = np.zeros(max(indptr[n], 1), dtype=np.int64)
-            sgn = np.zeros(max(indptr[n], 1), dtype=np.int8)
-            for v in range(n):
-                base = indptr[v]
-                for i, (w, s) in enumerate(g._adj[v]):
-                    nbrs[base + i] = w
-                    sgn[base + i] = s
-            self._indptr, self._nbrs, self._sgn = indptr, nbrs, sgn
-        else:
-            pos = np.zeros((n, n), dtype=bool)
-            neg = np.zeros((n, n), dtype=bool)
-            for u, v, s in g.edges:
-                if s > 0:
-                    pos[u, v] = pos[v, u] = True
-                else:
-                    neg[u, v] = neg[v, u] = True
-            self._pos, self._neg = pos, neg
+        self._csr = _kernels.csr_adjacency(g.n, g.edges)
 
     def zeros_state(self) -> np.ndarray:
         return np.zeros(self.graph.n, dtype=np.int8)
 
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
-        if self.backend == "numba":
-            return _kernels.step_numba(
-                self._indptr, self._nbrs, self._sgn, labels, vertex, info
-            )
-        return _kernels.step_numpy(self._pos, self._neg, labels, vertex, info)
+        return _kernels.place_and_round(
+            self._csr, labels, np.array([vertex]), np.array([info])
+        )[0]
 
     def expand(self, labels: np.ndarray, allow_neg: bool):
-        """Child states for every legal placement, in lexicographic order."""
-        if self.backend == "numba":
-            return _kernels.expand_numba(
-                self._indptr, self._nbrs, self._sgn, labels, allow_neg
-            )
-        return _kernels.expand_numpy(self._pos, self._neg, labels, allow_neg)
+        """Child states for every legal placement, in lexicographic order.
+
+        Rows are ordered by vertex ascending, value A before -A. Returns
+        (children, moves, ccounts) where ccounts[i] is the confused-vertex
+        count of child i.
+        """
+        zeros = np.flatnonzero(labels == _kernels.ZERO)
+        infos = (_kernels.INFO_A, _kernels.INFO_NEG_A) if allow_neg else (_kernels.INFO_A,)
+        moves = np.empty((len(zeros), len(infos), 2), dtype=np.int64)
+        moves[:, :, 0] = zeros[:, None]
+        moves[:, :, 1] = infos
+        moves = moves.reshape(-1, 2)
+        children = _kernels.place_and_round(
+            self._csr, labels.astype(np.int8, copy=False), moves[:, 0], moves[:, 1]
+        )
+        ccounts = (children == _kernels.CONFUSED).sum(axis=1, dtype=np.int64)
+        return children, moves, ccounts
 
 
 @dataclass(eq=False)
@@ -161,22 +151,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_placement(g: SignedGraph, labels: np.ndarray, p: Placement,
+                     mode: str | None = None, idx: int | None = None) -> Label:
+    """The placed value, once p is checked legal on labels (and in mode)."""
+    where = "" if idx is None else f"step {idx}: "
+    v = p.vertex
+    if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < g.n):
+        raise InputError(f"{where}placement vertex {v!r} out of range")
+    try:
+        info = Label(p.info)
+    except ValueError:
+        raise InputError(f"{where}invalid placement value {p.info!r}") from None
+    if mode == MODE_ID and info is not Label.A:
+        raise StrategyError(f"{where}ID mode only places A", step=idx)
+    if info not in (Label.A, Label.NEG_A):
+        raise StrategyError(f"{where}placement value must be A or -A, got {info!r}", step=idx)
+    if labels[v] != int(Label.ZERO):
+        raise StrategyError(f"{where}vertex {v} is not Zero", step=idx)
+    return info
+
+
 def step(g: SignedGraph, state: np.ndarray, placement: Placement,
          ctx: StepContext | None = None) -> np.ndarray:
     """Place on a Zero vertex and run one synchronous round."""
     ctx = ctx or StepContext(g)
-    v = placement.vertex
-    if not (isinstance(v, int) and 0 <= v < g.n):
-        raise InputError(f"placement vertex {v!r} out of range")
-    try:
-        info = Label(placement.info)
-    except ValueError:
-        raise InputError(f"invalid placement value {placement.info!r}") from None
-    if info not in (Label.A, Label.NEG_A):
-        raise StrategyError(f"placement value must be A or -A, got {info!r}")
-    if state[v] != int(Label.ZERO):
-        raise StrategyError(f"vertex {v} is not Zero")
-    return _freeze(ctx.step(np.asarray(state, dtype=np.int8), v, int(info)))
+    info = _check_placement(g, state, placement)
+    return _freeze(ctx.step(np.asarray(state, dtype=np.int8), placement.vertex, int(info)))
 
 
 def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> Trace:
@@ -185,18 +185,7 @@ def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> T
     labels = ctx.zeros_state()
     snapshots = [_freeze(labels.copy())]
     for idx, p in enumerate(strategy.placements, start=1):
-        if not (isinstance(p.vertex, int) and 0 <= p.vertex < g.n):
-            raise InputError(f"step {idx}: placement vertex {p.vertex!r} out of range")
-        try:
-            info = Label(p.info)
-        except ValueError:
-            raise InputError(f"step {idx}: invalid placement value {p.info!r}") from None
-        if strategy.mode == MODE_ID and info is not Label.A:
-            raise StrategyError(f"step {idx}: ID mode only places A", step=idx)
-        if info not in (Label.A, Label.NEG_A):
-            raise StrategyError(f"step {idx}: placement value must be A or -A", step=idx)
-        if labels[p.vertex] != int(Label.ZERO):
-            raise StrategyError(f"step {idx}: vertex {p.vertex} is not Zero", step=idx)
+        info = _check_placement(g, labels, p, strategy.mode, idx)
         labels = _freeze(ctx.step(labels, p.vertex, int(info)))
         snapshots.append(labels)
     complete = not bool((labels == int(Label.ZERO)).any())

@@ -48,13 +48,14 @@ class SignedGraph:
                 u, v, s = item
             except (TypeError, ValueError):
                 raise InputError(f"edge {item!r} is not a (u, v, sign) triple") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if (not (isinstance(u, int) and isinstance(v, int))
+                    or isinstance(u, bool) or isinstance(v, bool)):
                 raise InputError(f"edge {item!r} has non-integer endpoints")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {u}-{v} out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            if s not in (1, -1):
+            if isinstance(s, bool) or s not in (1, -1):
                 raise InputError(f"edge {u}-{v} has sign {s!r}, expected 1 or -1")
             if u > v:
                 u, v = v, u

@@ -98,6 +98,13 @@ def test_solve_capacity_exit():
     assert run_cli("solve", "--exact", stdin=graph).returncode == 0
 
 
+def test_json_booleans_in_edges_exit_1():
+    for edge in ('{"u": true, "v": 2, "sign": true}', '{"u": 0, "v": 2, "sign": true}'):
+        proc = run_cli("balance", stdin='{"n": 3, "edges": [' + edge + "]}")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: edge")
+
+
 def test_balance_frustration_switch_equivalent(tmp_path):
     graph = run_cli("generate", "gn", "6").stdout
     bal = out_json(run_cli("balance", stdin=graph))

@@ -94,6 +94,10 @@ def test_run_validations():
     with pytest.raises(InputError):
         run(g, Strategy(MODE_ID, (Placement(7, Label.A),)))
     with pytest.raises(InputError):
+        run(g, strategy_from_json(MODE_ID, [{"vertex": True, "info": "A"}]))
+    with pytest.raises(InputError):
+        step(g, StepContext(g).zeros_state(), Placement(True, Label.A))
+    with pytest.raises(InputError):
         Strategy("bogus", ())
     err = None
     try:

@@ -52,6 +52,8 @@ def test_from_edge_list_normalizes_and_sorts():
         (3, [(0, 1, 2)]),  # bad sign
         (3, [(0, 1)]),  # not a triple
         (-1, []),
+        (3, [(True, 2, 1)]),  # boolean endpoint
+        (3, [(0, 2, True)]),  # boolean sign
     ],
 )
 def test_from_edge_list_rejects(n, edges):
