@@ -22,15 +22,10 @@ from .engine import (
     label_to_str,
     run,
     str_to_label,
+    strategy_to_json,
     trace_to_json,
 )
-from .errors import (
-    BudgetExceeded,
-    CapacityError,
-    InputError,
-    SignedSpreadError,
-    StrategyError,
-)
+from .errors import BudgetExceeded, InputError, SignedSpreadError
 from .families import (
     gen_cycle,
     gen_gn,
@@ -252,10 +247,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     g = _read_graph(args.path)
     budget = _budget_from(args)
-    methods = sum(1 for flag in (args.greedy, args.via_class) if flag)
-    if args.exact and methods:
-        raise UsageError("pick one of --exact, --greedy, --via-class")
-    if methods > 1:
+    if sum(1 for flag in (args.exact, args.greedy, args.via_class) if flag) > 1:
         raise UsageError("pick one of --exact, --greedy, --via-class")
     if args.min_steps and (args.greedy or args.via_class):
         raise UsageError("--min-steps works with the exact solver only")
@@ -266,10 +258,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "schema": 1,
             "optimum": trace.confused_count(),
-            "witness": [
-                {"vertex": p.vertex, "info": label_to_str(p.info)}
-                for p in trace.strategy.placements
-            ],
+            "witness": strategy_to_json(trace.strategy),
             "optimal": False,
             "policy": args.greedy,
             "bound": policy_bound(args.greedy, g),
@@ -523,9 +512,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (InputError, CapacityError, StrategyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except SignedSpreadError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -169,7 +169,7 @@ def switch(g: SignedGraph, members: Iterable[int]) -> SignedGraph:
     """Flip the sign of every edge with exactly one end in `members`."""
     x = frozenset(members)
     for v in x:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < g.n):
             raise InputError(f"switch set member {v!r} out of range")
     flipped = [
         (u, v, -s if ((u in x) != (v in x)) else s) for u, v, s in g.edges

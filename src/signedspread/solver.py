@@ -10,7 +10,8 @@ value) order; a child whose already-incurred confusion cannot beat the
 best completed total at its state is skipped, and search under a state
 stops once a zero-confusion completion is found. Both prunes keep the
 memo exact, so the reported witness is the lexicographically smallest
-optimal placement sequence.
+optimal placement sequence. A solve whose budget runs out reports the
+rescue_priority strategy instead, marked not optimal.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .engine import (
     Placement,
     StepContext,
     Strategy,
-    pending_signals,
+    run,
     strategy_to_json,
 )
 from .errors import BudgetExceeded, CapacityError, InputError
 from .graph import SignedGraph, switch
+from .strategies import rescue_priority
 
 EXACT_MAX_N = 15
 CLASS_MAX_N = 12
@@ -55,7 +57,8 @@ class Budget:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of a confusion-number solve; witness replays to optimum."""
+    """Result of a solve. The optimum is a confused count, or for
+    min_steps a step count; the witness replays to it either way."""
 
     optimum: int
     witness: Strategy
@@ -64,33 +67,14 @@ class SolveReport:
     millis: float
     mode: str
 
+    @property
+    def steps(self) -> int:
+        return len(self.witness.placements)
+
     def to_json(self) -> dict:
         return {
             "schema": 1,
             "optimum": self.optimum,
-            "witness": strategy_to_json(self.witness),
-            "optimal": self.optimal,
-            "nodes": self.nodes,
-            "millis": self.millis,
-            "mode": self.mode,
-        }
-
-
-@dataclass(frozen=True)
-class MinStepsReport:
-    """Result of a minimum-step-count solve."""
-
-    steps: int
-    witness: Strategy
-    optimal: bool
-    nodes: int
-    millis: float
-    mode: str
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "optimum": self.steps,
             "witness": strategy_to_json(self.witness),
             "optimal": self.optimal,
             "nodes": self.nodes,
@@ -108,11 +92,11 @@ class _Limits:
         )
 
     def charge(self):
-        self.nodes_used += 1
-        if self._max_nodes is not None and self.nodes_used > self._max_nodes:
+        if self._max_nodes is not None and self.nodes_used >= self._max_nodes:
             raise BudgetExceeded("node budget exhausted")
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise BudgetExceeded("time budget exhausted")
+        self.nodes_used += 1
 
 
 def _search(ctx: StepContext, root: np.ndarray, allow_neg: bool, limits: _Limits):
@@ -162,29 +146,19 @@ def _extract_strategy(ctx: StepContext, memo: dict, root: np.ndarray, mode: str)
     return Strategy(mode, tuple(placements))
 
 
-def _greedy_completion(ctx: StepContext, mode: str):
-    """Cheap complete strategy (rescue-first) used as a fallback bound."""
-    g = ctx.graph
-    labels = ctx.zeros_state()
-    placements = []
-    while (labels == _ZERO).any():
-        hp, hm = pending_signals(g, labels)
-        zeros = [v for v in range(g.n) if labels[v] == _ZERO]
-        pick = None
-        for v in zeros:
-            if hp[v] and hm[v]:
-                pick = v
-                break
-        if pick is None:
-            for v in zeros:
-                if hp[v] or hm[v]:
-                    pick = v
-                    break
-        if pick is None:
-            pick = zeros[0]
-        placements.append(Placement(pick, Label.A))
-        labels = ctx.step(labels, pick, int(Label.A))
-    return Strategy(mode, tuple(placements)), int((labels == _CONFUSED).sum())
+def _report(t0: float, limits: _Limits, optimum: int, witness: Strategy,
+            optimal: bool) -> SolveReport:
+    millis = (time.perf_counter() - t0) * 1000.0
+    return SolveReport(optimum, witness, optimal, limits.nodes_used, millis, witness.mode)
+
+
+def _fallback(g: SignedGraph, mode: str, t0: float, limits: _Limits,
+              count_steps: bool = False) -> SolveReport:
+    """The report of a solve whose budget ran out: the rescue_priority
+    strategy, not optimal, valued by its confused count or its steps."""
+    witness = Strategy(mode, rescue_priority(g).placements)
+    optimum = len(witness.placements) if count_steps else run(g, witness).confused_count()
+    return _report(t0, limits, optimum, witness, False)
 
 
 def _branch_solve(g: SignedGraph, mode: str, budget: Budget) -> SolveReport:
@@ -195,13 +169,9 @@ def _branch_solve(g: SignedGraph, mode: str, budget: Budget) -> SolveReport:
     try:
         memo, root_key = _search(ctx, root, mode == MODE_RID, limits)
     except BudgetExceeded:
-        witness, confused = _greedy_completion(ctx, mode)
-        millis = (time.perf_counter() - t0) * 1000.0
-        return SolveReport(confused, witness, False, limits.nodes_used, millis, mode)
+        return _fallback(g, mode, t0, limits)
     value, _ = memo[root_key]
-    witness = _extract_strategy(ctx, memo, root, mode)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return SolveReport(value, witness, True, limits.nodes_used, millis, mode)
+    return _report(t0, limits, value, _extract_strategy(ctx, memo, root, mode), True)
 
 
 def _check_exact_pre(g: SignedGraph, budget: Budget, default_cap: int, op: str):
@@ -264,14 +234,12 @@ def relaxed_via_class(g: SignedGraph, budget: Budget | None = None) -> SolveRepo
                     break
     except BudgetExceeded:
         exhausted = True
-    millis = (time.perf_counter() - t0) * 1000.0
     if best is None:
-        witness, confused = _greedy_completion(StepContext(g), MODE_RID)
-        return SolveReport(confused, witness, False, limits.nodes_used, millis, MODE_RID)
-    return SolveReport(best, best_witness, not exhausted, limits.nodes_used, millis, MODE_RID)
+        return _fallback(g, MODE_RID, t0, limits)
+    return _report(t0, limits, best, best_witness, not exhausted)
 
 
-def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None) -> MinStepsReport:
+def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None) -> SolveReport:
     """Minimum number of steps over complete strategies, by iterative
     deepening on the step budget (confusion is ignored)."""
     if mode not in (MODE_ID, MODE_RID):
@@ -314,11 +282,7 @@ def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None)
                     steps = t
                     break
     except BudgetExceeded:
-        witness, _ = _greedy_completion(ctx, mode)
-        millis = (time.perf_counter() - t0) * 1000.0
-        return MinStepsReport(
-            len(witness.placements), witness, False, limits.nodes_used, millis, mode
-        )
+        return _fallback(g, mode, t0, limits, count_steps=True)
 
     # reconstruct the lexicographically smallest shortest witness
     placements = []
@@ -333,10 +297,7 @@ def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None)
                 labels = child
                 break
         remaining -= 1
-    millis = (time.perf_counter() - t0) * 1000.0
-    return MinStepsReport(
-        steps, Strategy(mode, tuple(placements)), True, limits.nodes_used, millis, mode
-    )
+    return _report(t0, limits, steps, Strategy(mode, tuple(placements)), True)
 
 
 def brute_oracle(g: SignedGraph, mode: str = MODE_ID, max_n: int = ORACLE_MAX_N) -> int:

@@ -3,7 +3,7 @@
 Every closed-form value, bound, and equality the library is built
 around is registered here as a claim that re-derives it at desk scale
 with the exact solvers. Claims are pure and independent; run_suite
-executes them concurrently and reports deterministically by claim id.
+executes them one after another and reports them by claim id.
 
 The two conjectured bounds are evaluated literally, ceiling included.
 They fail on small instances of the very families whose exact values
@@ -15,7 +15,6 @@ what is hoped.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1078,8 +1077,7 @@ def verify_claim(claim_id: str, params: dict | None = None, budget: Budget | Non
 
 
 def run_suite(budget: Budget | None = None, claim_ids=None) -> list[ClaimResult]:
-    """Run registered claims concurrently, ordered by claim id."""
-    budget = budget or Budget()
+    """Run registered claims, ordered by claim id."""
     if claim_ids is None:
         ids = sorted(CLAIMS)
     else:
@@ -1087,11 +1085,4 @@ def run_suite(budget: Budget | None = None, claim_ids=None) -> list[ClaimResult]
         for cid in ids:
             if cid not in CLAIMS:
                 raise InputError(f"unknown claim {cid!r}")
-    if _zero_budget(budget):
-        return [
-            ClaimResult(cid, "-", "-", "-", "skipped", detail="zero budget")
-            for cid in ids
-        ]
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(ids)))) as pool:
-        futures = {cid: pool.submit(verify_claim, cid, None, budget) for cid in ids}
-        return [futures[cid].result() for cid in ids]
+    return [verify_claim(cid, None, budget) for cid in ids]

@@ -107,6 +107,8 @@ def test_switch_rejects_out_of_range():
     g = SignedGraph.from_edge_list(3, [(0, 1, 1)])
     with pytest.raises(InputError):
         switch(g, {5})
+    with pytest.raises(InputError):
+        switch(g, [True])
 
 
 def test_balance_basics():

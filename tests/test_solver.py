@@ -20,6 +20,7 @@ from signedspread.solver import (
     min_steps,
     relaxed_via_class,
 )
+from signedspread.strategies import rescue_priority
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,3 +182,27 @@ def test_budget_json_fields():
     assert isinstance(payload["nodes"], int) and payload["nodes"] > 0
     ms = min_steps(gen_path(4)).to_json()
     assert ms["schema"] == 1 and ms["optimum"] == 2
+    assert list(ms) == list(payload)
+
+
+@pytest.mark.parametrize(
+    "solve, mode",
+    [
+        (exact_confusion, MODE_ID),
+        (exact_relaxed_confusion, MODE_RID),
+        (relaxed_via_class, MODE_RID),
+        (min_steps, MODE_ID),
+    ],
+)
+def test_exhausted_budget_falls_back_to_rescue_priority(solve, mode):
+    g = gen_ktt_tau(4)
+    report = solve(g, budget=Budget(nodes=1))
+    assert not report.optimal and report.nodes <= 1
+    assert report.witness.mode == mode == report.mode
+    assert report.witness.placements == rescue_priority(g).placements
+    trace = run(g, report.witness)
+    assert trace.complete
+    if solve is min_steps:
+        assert report.optimum == report.steps == trace.steps
+    else:
+        assert report.optimum == trace.confused_count()
