@@ -2,7 +2,8 @@
 
 One broadcast round and child expansion run on a CSR adjacency in numpy.
 The switching scan behind the frustration index exists twice, compiled
-with numba and in pure numpy; the environment variable
+with numba and in pure numpy (which finds the minimum and every mask
+attaining it in one pass); the environment variable
 SIGNEDSPREAD_BACKEND ("numba" or "numpy"; unset/auto picks numba when it
 is importable and numpy otherwise) chooses between those two.
 
@@ -115,12 +116,12 @@ def frustration_scan_numpy(shift_u, shift_v, eneg, n_masks):
     """Minimum negative-edge count over all switchings, scanned by mask.
 
     Masks encode switch sets over vertices 1..n-1 (vertex 0 is pinned
-    outside). Returns (best, first mask attaining it, tie count).
+    outside). Returns (best, every mask attaining it in increasing
+    order as an int64 array), both gathered in one chunked pass.
     """
     m = len(shift_u)
     best = m + 1
-    first_mask = 0
-    ties = 0
+    tied = []
     # uint64 >> int64 has no safe common type in numpy; shift as uint64
     su = shift_u.astype(np.uint64)
     sv = shift_v.astype(np.uint64)
@@ -135,31 +136,10 @@ def frustration_scan_numpy(shift_u, shift_v, eneg, n_masks):
             counts += (flip ^ eneg64[j]).astype(np.int64)
         cbest = int(counts.min())
         if cbest < best:
-            best = cbest
-            first_mask = lo + int(np.argmax(counts == cbest))
-            ties = int((counts == cbest).sum())
-        elif cbest == best:
-            ties += int((counts == best).sum())
-    return best, first_mask, ties
-
-
-def frustration_collect_numpy(shift_u, shift_v, eneg, n_masks, target):
-    """All masks whose switched signature has exactly `target` negatives."""
-    m = len(shift_u)
-    su = shift_u.astype(np.uint64)
-    sv = shift_v.astype(np.uint64)
-    eneg64 = [np.uint64(x) for x in eneg]
-    one = np.uint64(1)
-    found = []
-    for lo in range(0, n_masks, _CHUNK):
-        hi = min(lo + _CHUNK, n_masks)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(m):
-            flip = ((masks >> su[j]) ^ (masks >> sv[j])) & one
-            counts += (flip ^ eneg64[j]).astype(np.int64)
-        found.append(masks[counts == target].astype(np.int64))
-    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+            best, tied = cbest, []
+        if cbest == best:
+            tied.append(masks[counts == best].astype(np.int64))
+    return best, np.concatenate(tied)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .families import (
     gen_random_tree,
 )
 from .graph import (
+    FRUSTRATION_MAX_N,
     equivalent,
     frustration_index,
     graph_from_json,
@@ -297,8 +298,8 @@ def _cmd_balance(args) -> int:
 
 def _cmd_frustration(args) -> int:
     g = _read_graph(args.path)
-    budget_max_n = args.max_n if args.max_n is not None else 20
-    value, witness = frustration_index(g, max_n=budget_max_n)
+    max_n = args.max_n if args.max_n is not None else FRUSTRATION_MAX_N
+    value, witness = frustration_index(g, max_n=max_n)
     payload = {
         "schema": 1,
         "frustration": value,

@@ -27,6 +27,9 @@ CycleSet = frozenset  # of canonical vertex tuples
 
 NEGATIVE_CYCLES_MAX_N = 10
 FRUSTRATION_MAX_N = 20
+# largest vertex count graph JSON may declare; the engine allocates O(n)
+# arrays up front, so a huge declared n must fail before any allocation
+JSON_MAX_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,8 @@ def graph_from_json(payload: dict) -> SignedGraph:
         raise InputError("graph JSON needs 'n' and 'edges'") from None
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError("'n' must be an integer")
+    if n > JSON_MAX_N:
+        raise InputError(f"'n' = {n} exceeds the graph JSON limit of {JSON_MAX_N}")
     if not isinstance(raw, list):
         raise InputError("'edges' must be a list")
     edges = []
@@ -301,34 +306,23 @@ def frustration_index(
         return 0, frozenset()
     shift_u, shift_v, eneg = _edge_shift_arrays(g)
     n_masks = 1 << max(0, g.n - 1)
-    which = _kernels.resolve_backend(backend)
-    if which == "numba":
+    if _kernels.resolve_backend(backend) == "numpy":
+        best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, n_masks)
+    else:
         best, first_mask, ties = _kernels.frustration_scan_numba(
             shift_u, shift_v, eneg, n_masks
         )
-    else:
-        best, first_mask, ties = _kernels.frustration_scan_numpy(
-            shift_u, shift_v, eneg, n_masks
-        )
+        masks = [first_mask]
+        if best and ties > 1:
+            buf = np.empty(int(ties), dtype=np.int64)
+            k = _kernels.frustration_collect_numba(
+                shift_u, shift_v, eneg, n_masks, best, buf
+            )
+            masks = buf[:k]
     best = int(best)
     if best == 0:
         return 0, frozenset()
-    if ties <= 1:
-        masks = [int(first_mask)]
-    elif which == "numba":
-        buf = np.empty(int(ties), dtype=np.int64)
-        k = _kernels.frustration_collect_numba(
-            shift_u, shift_v, eneg, n_masks, best, buf
-        )
-        masks = [int(x) for x in buf[:k]]
-    else:
-        masks = [
-            int(x)
-            for x in _kernels.frustration_collect_numpy(
-                shift_u, shift_v, eneg, n_masks, best
-            )
-        ]
-    witness = min(sorted(_negatives_after_switch(g, mask)) for mask in masks)
+    witness = min(sorted(_negatives_after_switch(g, int(mask))) for mask in masks)
     return best, frozenset(witness)
 
 

@@ -51,6 +51,12 @@ class Budget:
     seconds: float | None = None
     max_n: int | None = None
 
+    def __post_init__(self):
+        if self.nodes is not None and self.nodes < 0:
+            raise InputError(f"node budget must be nonnegative, got {self.nodes}")
+        if self.seconds is not None and not self.seconds >= 0:  # also rejects NaN
+            raise InputError(f"time budget must be nonnegative, got {self.seconds}")
+
     def cap(self, default: int) -> int:
         return default if self.max_n is None else self.max_n
 

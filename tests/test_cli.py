@@ -105,6 +105,25 @@ def test_json_booleans_in_edges_exit_1():
         assert proc.stderr.startswith("error: edge")
 
 
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["balance"], ["solve", "--greedy", "rescue_priority"]]
+)
+def test_oversized_graph_json_exit_1(command):
+    proc = run_cli(*command, stdin='{"n": 10000000000000, "edges": []}')
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--budget-nodes", "-3"], ["--budget-secs", "-1"], ["--budget-secs", "nan"]]
+)
+def test_malformed_budget_exit_1(flags):
+    graph = run_cli("generate", "path", "4").stdout
+    proc = run_cli("solve", "--exact", *flags, stdin=graph)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
 def test_balance_frustration_switch_equivalent(tmp_path):
     graph = run_cli("generate", "gn", "6").stdout
     bal = out_json(run_cli("balance", stdin=graph))

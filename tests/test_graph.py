@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from signedspread.errors import CapacityError, InputError
 from signedspread.families import gen_cycle, gen_gn, gen_ktt_tau, gen_random_connected
 from signedspread.graph import (
+    JSON_MAX_N,
     SignedGraph,
     equivalent,
     frustration_index,
@@ -81,6 +82,7 @@ def test_json_roundtrip(g):
         {"n": "3", "edges": []},
         {"n": 3, "edges": [{"u": 0, "v": 1}]},
         {"n": 3, "edges": [[0, 1, 1]]},
+        {"n": JSON_MAX_N + 1, "edges": []},
     ],
 )
 def test_graph_from_json_rejects(payload):
@@ -191,6 +193,46 @@ def test_frustration_matches_deletion_oracle(g):
 def test_frustration_switching_invariant(g, members):
     members = {v for v in members if v < g.n}
     assert frustration_index(g)[0] == frustration_index(switch(g, members))[0]
+
+
+def reference_frustration(g):
+    """Every switch set, vertex 0 included; the minimum negative count and
+    the lexicographically smallest sorted negative edge set attaining it."""
+    best = None
+    for bits in range(1 << g.n):
+        neg = sorted(
+            (u, v) for u, v, s in g.edges if (s < 0) != bool(((bits >> u) ^ (bits >> v)) & 1)
+        )
+        if best is None or (len(neg), neg) < best:
+            best = (len(neg), neg)
+    return best[0], frozenset(best[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_graphs(max_n=7))
+def test_frustration_matches_switching_reference(g):
+    # signed_graphs draws disconnected graphs too, whose free components
+    # make many switchings tie
+    assert frustration_index(g) == reference_frustration(g)
+
+
+@pytest.mark.parametrize(
+    "edges, want",
+    [
+        # all-negative triangle plus 15 isolated vertices: the tied masks
+        # fill both 65,536-mask chunks of the scan
+        ([(0, 1, -1), (0, 2, -1), (1, 2, -1)], (1, {(0, 1)})),
+        # both chunks reach the minimum, but only the first chunk's masks
+        # (vertex 17 unswitched) give the smallest witness
+        ([(0, 1, -1), (0, 17, 1), (1, 17, 1)], (1, {(0, 1)})),
+        # the pinned edge 0-17 is negative in every mask of the first chunk,
+        # so the second chunk's strictly better masks must replace its ties
+        ([(0, 17, -1), (2, 3, -1), (2, 4, -1), (3, 4, -1)], (1, {(2, 3)})),
+    ],
+)
+def test_frustration_ties_across_scan_chunks(edges, want):
+    value, witness = frustration_index(SignedGraph.from_edge_list(18, edges))
+    assert (value, set(witness)) == want
 
 
 def test_frustration_zero_iff_balanced():

@@ -92,6 +92,18 @@ def test_time_budget_zero_degrades():
     assert run(g, report.witness).complete
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"nodes": -3}, {"seconds": -1.0}, {"seconds": float("nan")}]
+)
+def test_budget_rejects_malformed_limits(kwargs):
+    with pytest.raises(InputError):
+        Budget(**kwargs)
+
+
+def test_zero_budget_stays_legal():
+    assert Budget(nodes=0).nodes == 0 and Budget(seconds=0.0).seconds == 0.0
+
+
 def test_max_n_cap_and_override():
     g = gen_random_connected(9, 9)
     with pytest.raises(CapacityError):
