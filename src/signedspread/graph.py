@@ -127,6 +127,30 @@ class SignedGraph:
         return len(seen) == self.n
 
 
+def distance_table(g: SignedGraph) -> np.ndarray:
+    """All-pairs path lengths (signs ignored) as an n x n int32 table,
+    by one BFS per source; pairs in different components hold n."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    rows = []
+    for s in range(n):
+        dist = [n] * n
+        dist[s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if dist[w] == n:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(dist)
+    return np.array(rows, dtype=np.int32).reshape(n, n)
+
+
 @dataclass(frozen=True)
 class BalancePartition:
     """The two sides of a balance 2-coloring, each a sorted vertex tuple."""
@@ -289,6 +313,26 @@ def _negatives_after_switch(g: SignedGraph, mask: int) -> tuple:
     return tuple(out)
 
 
+def _smallest_witness_mask(shift_u, shift_v, eneg, masks) -> int:
+    """A tied mask whose negative edges form the lexicographically
+    smallest sorted edge list.
+
+    Tied sets share one size and edges are in sorted order, so that list
+    has the lexicographically largest negative-edge indicator row. Edge
+    by edge, keep the masks that make the edge negative whenever any do.
+    """
+    masks = np.asarray(masks, dtype=np.uint64)
+    one = np.uint64(1)
+    for su, sv, neg in zip(shift_u, shift_v, eneg):
+        if len(masks) == 1:
+            break
+        flip = ((masks >> np.uint64(su)) ^ (masks >> np.uint64(sv))) & one
+        negative = flip != np.uint64(neg)
+        if negative.any():
+            masks = masks[negative]
+    return int(masks[0])
+
+
 def frustration_index(
     g: SignedGraph,
     max_n: int = FRUSTRATION_MAX_N,
@@ -322,8 +366,8 @@ def frustration_index(
     best = int(best)
     if best == 0:
         return 0, frozenset()
-    witness = min(sorted(_negatives_after_switch(g, int(mask))) for mask in masks)
-    return best, frozenset(witness)
+    mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
+    return best, frozenset(_negatives_after_switch(g, mask))
 
 
 def realize_min_signature(g: SignedGraph, e_set: Iterable[tuple]) -> SignedGraph:

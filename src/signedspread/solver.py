@@ -12,6 +12,16 @@ stops once a zero-confusion completion is found. Both prunes keep the
 memo exact, so the reported witness is the lexicographically smallest
 optimal placement sequence. A solve whose budget runs out reports the
 rescue_priority strategy instead, marked not optimal.
+
+min_steps deepens the step budget one step at a time, memoized on
+(state, steps left), and prunes with a ball-counting step bound (the
+covering argument behind the burning number): with k steps left, the
+Zero vertices farther than k from every transmitter must fit in the
+balls of radii k, ..., 1 around the k new placements, so a state where
+they outnumber the sum of the largest ball sizes is answered infeasible
+before it costs a node. Confusion only slows spreading, so the bound
+cuts only states that cannot complete in k steps: every answer, and so
+the lexicographically smallest witness, is that of the unpruned search.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .engine import (
     strategy_to_json,
 )
 from .errors import BudgetExceeded, CapacityError, InputError
-from .graph import SignedGraph, switch
+from .graph import SignedGraph, distance_table, switch
 from .strategies import rescue_priority
 
 EXACT_MAX_N = 15
@@ -41,6 +51,8 @@ ORACLE_MAX_N = 8
 
 _CONFUSED = int(Label.CONFUSED)
 _ZERO = int(Label.ZERO)
+_A = int(Label.A)
+_NEG_A = int(Label.NEG_A)
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,10 @@ def _search(ctx: StepContext, root: np.ndarray, allow_neg: bool, limits: _Limits
         memo[key] = (best, best_move)
         return best
 
-    eval_state(root, root_key, True)
+    try:
+        eval_state(root, root_key, True)
+    finally:
+        del eval_state  # the closure refers to itself; free it with the memo
     return memo, root_key
 
 
@@ -245,15 +260,48 @@ def relaxed_via_class(g: SignedGraph, budget: Budget | None = None) -> SolveRepo
     return _report(t0, limits, best, best_witness, not exhausted)
 
 
+class _StepBound:
+    """Ball-counting test that a state cannot complete in k more steps.
+
+    The j-th of k placements informs at most the ball of radius
+    k - j + 1 around it, and a current transmitter (A or -A) at most its
+    ball of radius k: confused vertices only block spreading, so graph
+    distance over-approximates reach. The Zero vertices farther than k
+    from every transmitter must therefore fit in k new balls, at most
+    cover[k] = sum of max_v |B(v, r)| over r = 1..k vertices.
+    """
+
+    def __init__(self, g: SignedGraph):
+        n = g.n
+        self._dist = distance_table(g)
+        # hist[v, d]: vertices at distance d from v (d = n: unreachable)
+        hist = np.bincount(
+            (np.arange(n)[:, None] * (n + 1) + self._dist).ravel(), minlength=n * (n + 1)
+        ).reshape(n, n + 1)
+        max_ball = hist.cumsum(axis=1).max(axis=0, initial=0)
+        self._cover = np.concatenate(([0], np.cumsum(max_ball[1:])))
+
+    def cuts(self, labels: np.ndarray, k: int) -> bool:
+        zero = labels == _ZERO
+        if np.count_nonzero(zero) <= self._cover[k]:
+            return False
+        sends = (labels == _A) | (labels == _NEG_A)
+        if sends.any():
+            zero &= self._dist[sends].min(axis=0) > k
+        return np.count_nonzero(zero) > self._cover[k]
+
+
 def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None) -> SolveReport:
     """Minimum number of steps over complete strategies, by iterative
-    deepening on the step budget (confusion is ignored)."""
+    deepening on the step budget (confusion is ignored). A state that
+    the ball-counting bound rules out is answered without a node."""
     if mode not in (MODE_ID, MODE_RID):
         raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
     budget = budget or Budget()
     _check_exact_pre(g, budget, EXACT_MAX_N, "min_steps")
     t0 = time.perf_counter()
     ctx = StepContext(g)
+    bound = _StepBound(g)
     limits = _Limits(budget)
     allow_neg = mode == MODE_RID
     memo = {}
@@ -267,6 +315,9 @@ def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None)
         cached = memo.get(mk)
         if cached is not None:
             return cached
+        if bound.cuts(labels, remaining):
+            memo[mk] = False
+            return False
         limits.charge()
         children, _, _ = ctx.expand(labels, allow_neg and not at_root)
         ans = False
@@ -279,30 +330,23 @@ def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None)
         return ans
 
     root = ctx.zeros_state()
-    root_key = root.tobytes()
-    steps = 0
     try:
-        if (root == _ZERO).any():
-            for t in range(1, g.n + 1):
-                if feasible(root, root_key, t, True):
-                    steps = t
+        steps = next((t for t in range(1, g.n + 1) if feasible(root, root.tobytes(), t, True)), 0)
+        # reconstruct the lexicographically smallest shortest witness
+        placements = []
+        labels = root
+        for remaining in range(steps, 0, -1):
+            children, moves, _ = ctx.expand(labels, allow_neg and labels is not root)
+            for i in range(children.shape[0]):
+                child = children[i]
+                if feasible(child, child.tobytes(), remaining - 1, False):
+                    placements.append(Placement(int(moves[i, 0]), Label(int(moves[i, 1]))))
+                    labels = child
                     break
     except BudgetExceeded:
         return _fallback(g, mode, t0, limits, count_steps=True)
-
-    # reconstruct the lexicographically smallest shortest witness
-    placements = []
-    labels = root
-    remaining = steps
-    while (labels == _ZERO).any():
-        children, moves, _ = ctx.expand(labels, allow_neg and labels is not root)
-        for i in range(children.shape[0]):
-            child = children[i]
-            if feasible(child, child.tobytes(), remaining - 1, False):
-                placements.append(Placement(int(moves[i, 0]), Label(int(moves[i, 1]))))
-                labels = child
-                break
-        remaining -= 1
+    finally:
+        del feasible  # the closure refers to itself; free it with the memo
     return _report(t0, limits, steps, Strategy(mode, tuple(placements)), True)
 
 

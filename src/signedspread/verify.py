@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-import numpy as np
-
 from .engine import MODE_ID, MODE_RID, Label, StepContext, mirror_trace, run
 from .errors import BudgetExceeded, CapacityError, InputError
 from .families import (
@@ -35,6 +33,7 @@ from .families import (
 from .graph import (
     FRUSTRATION_MAX_N,
     SignedGraph,
+    distance_table,
     frustration_index,
     graph_to_json,
     is_antibalanced,
@@ -251,7 +250,7 @@ def _claim_gn_confusion_zero(budget: Budget, ns=(6, 8, 10)) -> ClaimResult:
 def _claim_balanced_bound(budget: Budget, count=8) -> ClaimResult:
     checks = []
     for i in range(count):
-        n = 4 + (7 * i) % 7  # 4..10
+        n = 4 + i % 7  # 4..10
         g = _random_balanced(100 + i, n)
         bound = n / 2 - 2
         got = _opt(exact_confusion(g, budget))
@@ -664,20 +663,7 @@ def burning_number_brute(g: SignedGraph, max_n: int = 18) -> int:
     if not g.connected():
         raise InputError("burning_number_brute expects a connected graph")
     n = g.n
-    dist = np.full((n, n), n, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors(u):
-                    if dist[s, w] == n:
-                        dist[s, w] = d
-                        nxt.append(w)
-            frontier = nxt
+    dist = distance_table(g)
     full = (1 << n) - 1
 
     for k in range(1, n + 1):

@@ -1,11 +1,22 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signedspread import _kernels
 from signedspread.errors import CapacityError, InputError
-from signedspread.families import gen_cycle, gen_gn, gen_ktt_tau, gen_random_connected
+from signedspread.families import (
+    gen_cycle,
+    gen_gn,
+    gen_ktt_tau,
+    gen_path,
+    gen_random_connected,
+)
 from signedspread.graph import (
     JSON_MAX_N,
     SignedGraph,
+    _edge_shift_arrays,
+    _negatives_after_switch,
+    distance_table,
     equivalent,
     frustration_index,
     graph_from_json,
@@ -233,6 +244,48 @@ def test_frustration_matches_switching_reference(g):
 def test_frustration_ties_across_scan_chunks(edges, want):
     value, witness = frustration_index(SignedGraph.from_edge_list(18, edges))
     assert (value, set(witness)) == want
+
+
+def _sparse_random(seed, n, m):
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = rng.choice(len(pairs), size=m, replace=False)
+    return SignedGraph.from_edge_list(
+        n, [(*pairs[i], int(rng.choice([1, -1]))) for i in picked]
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # all-negative triangle plus 17 isolated vertices: 393,216 tied masks
+        SignedGraph.from_edge_list(20, [(0, 1, -1), (0, 2, -1), (1, 2, -1)]),
+        # two all-negative triangles, the second not touching vertex 0
+        SignedGraph.from_edge_list(
+            16, [(0, 1, -1), (0, 2, -1), (1, 2, -1), (7, 9, -1), (7, 12, -1), (9, 12, -1)]
+        ),
+        gen_ktt_tau(5),
+        _sparse_random(1, 14, 9),
+        _sparse_random(2, 16, 12),
+    ],
+)
+def test_frustration_witness_matches_smallest_sorted_rule(g):
+    """The witness is the smallest sorted negative edge list over every
+    tied mask of the scan, picked the slow way here."""
+    shift_u, shift_v, eneg = _edge_shift_arrays(g)
+    best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, 1 << (g.n - 1))
+    want = min(sorted(_negatives_after_switch(g, int(mask))) for mask in masks)
+    assert frustration_index(g) == (best, frozenset(want))
+
+
+def test_distance_table():
+    n = 7
+    assert (distance_table(gen_path(n)) == np.abs(np.subtract.outer(range(n), range(n)))).all()
+    ring = distance_table(gen_cycle(6))
+    assert ring[0].tolist() == [0, 1, 2, 3, 2, 1] and (ring == ring.T).all()
+    two_parts = distance_table(SignedGraph.from_edge_list(4, [(0, 1, -1), (2, 3, 1)]))
+    assert two_parts.tolist() == [[0, 1, 4, 4], [1, 0, 4, 4], [4, 4, 0, 1], [4, 4, 1, 0]]
+    assert distance_table(SignedGraph.from_edge_list(0, [])).shape == (0, 0)
 
 
 def test_frustration_zero_iff_balanced():

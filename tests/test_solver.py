@@ -1,7 +1,10 @@
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread.engine import MODE_ID, MODE_RID, Label, Placement, Strategy, run
+from signedspread.engine import MODE_ID, MODE_RID, Label, Placement, StepContext, Strategy, run
 from signedspread.errors import CapacityError, InputError
 from signedspread.families import (
     gen_cycle,
@@ -14,6 +17,7 @@ from signedspread.families import (
 from signedspread.graph import SignedGraph, negate_signature, switch
 from signedspread.solver import (
     Budget,
+    _StepBound,
     brute_oracle,
     exact_confusion,
     exact_relaxed_confusion,
@@ -177,6 +181,122 @@ def test_min_steps_never_below_flood_radius():
         if report.steps > 1:
             prefix = Strategy(MODE_ID, report.witness.placements[:-1])
             assert not run(g, prefix).complete
+
+
+def _completes_within(ctx, labels, k, allow_neg, memo):
+    """Whether some k or fewer placements complete `labels`, by plain
+    exhaustive search with no bound."""
+    if not (labels == int(Label.ZERO)).any():
+        return True
+    if k == 0:
+        return False
+    key = (labels.tobytes(), k)
+    if key not in memo:
+        children, _, _ = ctx.expand(labels, allow_neg)
+        memo[key] = any(_completes_within(ctx, c, k - 1, allow_neg, memo) for c in children)
+    return memo[key]
+
+
+def reference_min_steps(g, mode):
+    """Iterative deepening with no step bound: the fewest steps and the
+    lexicographically first placement sequence attaining them."""
+    ctx = StepContext(g)
+    allow_neg = mode == MODE_RID
+    memo = {}
+
+    def feasible(labels, k, first):
+        # the first placement is pinned to A, as in min_steps
+        if first and (labels == int(Label.ZERO)).any() and k > 0:
+            children, _, _ = ctx.expand(labels, False)
+            return any(_completes_within(ctx, c, k - 1, allow_neg, memo) for c in children)
+        return _completes_within(ctx, labels, k, allow_neg, memo)
+
+    labels = ctx.zeros_state()
+    steps = next(t for t in range(g.n + 1) if feasible(labels, t, True))
+    placements = []
+    for k in range(steps, 0, -1):
+        children, moves, _ = ctx.expand(labels, allow_neg and bool(placements))
+        i = next(i for i, c in enumerate(children)
+                 if _completes_within(ctx, c, k - 1, allow_neg, memo))
+        placements.append(Placement(int(moves[i, 0]), Label(int(moves[i, 1]))))
+        labels = children[i]
+    return steps, tuple(placements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(3, 8), st.lists(st.integers(0, 63), max_size=4),
+       st.booleans())
+def test_step_bound_cuts_only_infeasible_states(seed, n, picks, allow_neg):
+    g = gen_random_connected(seed, n, 0.3)
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    for pick in picks:  # random placements reach a random state
+        zeros = np.flatnonzero(labels == int(Label.ZERO))
+        if len(zeros) == 0:
+            break
+        info = Label.NEG_A if allow_neg and pick % 2 else Label.A
+        labels = ctx.step(labels, int(zeros[pick % len(zeros)]), int(info))
+    bound = _StepBound(g)
+    memo = {}
+    for k in range(n + 1):
+        if bound.cuts(labels, k):
+            assert not _completes_within(ctx, labels, k, True, memo)
+
+
+def test_step_bound_cuts_long_paths():
+    ctx = StepContext(gen_path(10))
+    bound = _StepBound(gen_path(10))
+    # balls of radius 2 and 1 hold at most 5 + 3 of the 10 vertices
+    assert bound.cuts(ctx.zeros_state(), 2) and not bound.cuts(ctx.zeros_state(), 3)
+    # a transmitter at vertex 0 reaches 0..2 within 2 steps; 7 remain
+    assert not bound.cuts(ctx.step(ctx.zeros_state(), 0, int(Label.A)), 2)
+    assert bound.cuts(ctx.step(ctx.zeros_state(), 0, int(Label.A)), 1)
+    # -A transmits too: 0 and 1 hold -A, and placing at 6 then 10 completes
+    ctx = StepContext(gen_path(12))
+    state = ctx.step(ctx.zeros_state(), 0, int(Label.NEG_A))
+    assert not _StepBound(gen_path(12)).cuts(state, 2)
+
+
+@pytest.mark.parametrize("mode", [MODE_ID, MODE_RID])
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_min_steps_matches_unbounded_reference(family, mode):
+    for n in range(3 if family == "cycle" else 1, 21):
+        g = gen_path(n) if family == "path" else gen_cycle(n)
+        report = min_steps(g, mode, Budget(max_n=20))
+        assert report.optimal
+        assert (report.steps, report.witness.placements) == reference_min_steps(g, mode), n
+
+
+def test_min_steps_long_path_and_cycle_past_the_cap():
+    # without the step bound neither finishes in hours
+    budget = Budget(seconds=30, max_n=200)
+    for g, mode, want in ((gen_path(60), MODE_ID, 7), (gen_cycle(40), MODE_RID, 6)):
+        report = min_steps(g, mode, budget)
+        assert report.optimal and report.steps == want
+        trace = run(g, report.witness)
+        assert trace.complete and trace.steps == want
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: exact_confusion(gen_gn(8)),
+        lambda: exact_relaxed_confusion(gen_cycle(7, [-1] * 7)),
+        lambda: relaxed_via_class(gen_cycle(6, [-1] * 6)),
+        lambda: min_steps(gen_path(12)),
+        lambda: min_steps(gen_cycle(10), MODE_RID),
+        lambda: exact_confusion(gen_gn(8), Budget(nodes=3)),
+        lambda: min_steps(gen_path(12), MODE_ID, Budget(nodes=0)),
+    ],
+)
+def test_solve_leaves_no_cyclic_garbage(solve):
+    gc.collect()
+    gc.disable()
+    try:
+        solve()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_oracle_cap():

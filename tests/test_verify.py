@@ -7,6 +7,7 @@ from signedspread.errors import CapacityError, InputError
 from signedspread.families import gen_cycle, gen_path
 from signedspread.graph import SignedGraph, graph_from_json
 from signedspread.solver import Budget, exact_confusion, exact_relaxed_confusion
+from signedspread import verify
 from signedspread.verify import (
     CLAIMS,
     burning_number_brute,
@@ -51,6 +52,21 @@ def test_verify_claim_json_shape():
     assert payload["schema"] == 1
     assert payload["claim_id"] == "c5_allneg"
     assert set(payload) >= {"instance", "expected", "observed", "status"}
+
+
+def test_balanced_bound_spans_its_stated_sizes(monkeypatch):
+    seen = []
+    aggregate = verify._aggregate
+
+    def record(claim_id, instance, expected, checks, repro=""):
+        seen.extend(label for label, _, _ in checks)
+        return aggregate(claim_id, instance, expected, checks, repro)
+
+    monkeypatch.setattr(verify, "_aggregate", record)
+    res = verify_claim("balanced_bound")
+    assert res.status == "pass" and "n in 4..10" in res.instance
+    sizes = {int(label.rsplit("n=", 1)[1]) for label in seen if label.startswith("balanced ")}
+    assert sizes == set(range(4, 11))
 
 
 def test_verify_claim_unknown():
