@@ -74,6 +74,17 @@ def csr_adjacency(n, edges):
     return indptr, nbrs, sgn, src[order]
 
 
+def hearing(csr, labels):
+    """Per-vertex hearing bits of what labels sends (1: hears A, 2: hears
+    -A, 3: both), for every vertex whatever its own label."""
+    _, nbrs, sgn, rows = csr
+    sig = _SIGNAL[labels][nbrs] * sgn
+    heard = np.zeros(labels.shape[0], dtype=np.int8)
+    heard[rows[sig > 0]] = INFO_A
+    heard[rows[sig < 0]] |= INFO_NEG_A
+    return heard
+
+
 def place_and_round(csr, labels, verts, infos):
     """Children of `labels`, row i placing infos[i] on Zero vertex verts[i].
 
@@ -83,11 +94,8 @@ def place_and_round(csr, labels, verts, infos):
     current state is computed once and each row ORs in its vertex's row.
     Costs O(n + m) plus O(n + deg v) per row; rows keep labels' dtype.
     """
-    indptr, nbrs, sgn, rows = csr
-    sig = _SIGNAL[labels][nbrs] * sgn
-    heard = np.zeros(labels.shape[0], dtype=np.int8)
-    heard[rows[sig > 0]] = INFO_A
-    heard[rows[sig < 0]] |= INFO_NEG_A
+    indptr, nbrs, sgn, _ = csr
+    heard = hearing(csr, labels)
     zero = labels == ZERO
     base = labels.copy()
     base[zero] = heard[zero]

@@ -41,6 +41,8 @@ class Label(IntEnum):
 
 _LABEL_STR = {Label.ZERO: "0", Label.A: "A", Label.NEG_A: "-A", Label.CONFUSED: "C"}
 _STR_LABEL = {s: l for l, s in _LABEL_STR.items()}
+# label code -> its string, for whole snapshots at once
+_LABEL_STRS = np.array([_LABEL_STR[Label(code)] for code in range(len(Label))], dtype=object)
 
 
 def label_to_str(label) -> str:
@@ -88,6 +90,11 @@ class StepContext:
         return _kernels.place_and_round(
             self._csr, labels, np.array([vertex]), np.array([info])
         )[0]
+
+    def hearing(self, labels: np.ndarray) -> np.ndarray:
+        """Per-vertex hearing bits (1: hears A, 2: hears -A, 3: both) of
+        the signals labels sends; pending_signals in numpy."""
+        return _kernels.hearing(self._csr, labels)
 
     def expand(self, labels: np.ndarray, allow_neg: bool):
         """Child states for every legal placement, in lexicographic order.
@@ -248,7 +255,8 @@ def mirror_trace(trace: Trace) -> Trace:
 
 
 def pending_signals(g: SignedGraph, labels: np.ndarray):
-    """Per-vertex (hears A, hears -A) flags for the Zero vertices."""
+    """Per-vertex (hears A, hears -A) flags for the Zero vertices, in
+    plain Python: the reference for StepContext.hearing."""
     hears_p = [False] * g.n
     hears_m = [False] * g.n
     for v in range(g.n):
@@ -291,9 +299,7 @@ def trace_to_json(trace: Trace) -> dict:
         "graph": graph_to_json(trace.graph),
         "mode": trace.strategy.mode,
         "placements": strategy_to_json(trace.strategy),
-        "snapshots": [
-            [label_to_str(x) for x in snap] for snap in trace.snapshots
-        ],
+        "snapshots": [_LABEL_STRS[snap].tolist() for snap in trace.snapshots],
         "confused": list(trace.confused()),
         "complete": trace.complete,
     }

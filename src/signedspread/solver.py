@@ -3,15 +3,33 @@
 The branching solvers run a depth-first search over label states,
 branching on every Zero vertex (and both placement values in relaxed
 mode, except the first placement, which is pinned to A by the global
-negation symmetry). Values are memoized on the packed label state alone:
-the process is Markovian in the state, and the confused count is
-derivable from it. Children are explored in lexicographic (vertex,
+negation symmetry). Children are explored in lexicographic (vertex,
 value) order; a child whose already-incurred confusion cannot beat the
 best completed total at its state is skipped, and search under a state
-stops once a zero-confusion completion is found. Both prunes keep the
-memo exact, so the reported witness is the lexicographically smallest
-optimal placement sequence. A solve whose budget runs out reports the
-rescue_priority strategy instead, marked not optimal.
+stops once a zero-confusion completion is found. Both prunes keep every
+computed value exact.
+
+The memo holds exact future-confusion values only, keyed on states up
+to symmetry. The process commutes with the graph's signed automorphisms
+(vertex permutations that keep every edge and its sign), and in relaxed
+mode with the global negation A <-> -A, so all states of one orbit share
+a value. Once a search has charged 2n nodes it finds the group from the
+graph (symmetry.automorphisms) and from then on keys a state by its
+orbit representative, the lexicographically smallest image of the state
+over the group (and its negated images in relaxed mode). A smaller
+search never pays for finding the group. Entries keyed before that stay
+valid, since every key is the bytes of a state of the same orbit.
+
+The witness is read off the values afterwards: from the root, take the
+first child in lexicographic order whose added confusion plus value
+equals the state's value. This is the lexicographically smallest
+optimal placement sequence, the one a search without orbit keys settles
+on. At a state the search expanded, that child was never pruned, so its
+value is in the memo. A state whose value came from an orbit-mate was
+not expanded itself, and the walk may have to solve one of its
+children; such solves add to the node count but are not held to the
+budget, since the optimum is already proven. A solve whose budget runs
+out reports the rescue_priority strategy instead, marked not optimal.
 
 min_steps deepens the step budget one step at a time, memoized on
 (state, steps left), and prunes with a ball-counting step bound (the
@@ -44,6 +62,7 @@ from .engine import (
 from .errors import BudgetExceeded, CapacityError, InputError
 from .graph import SignedGraph, distance_table, switch
 from .strategies import rescue_priority
+from .symmetry import automorphisms
 
 EXACT_MAX_N = 15
 CLASS_MAX_N = 12
@@ -53,6 +72,11 @@ _CONFUSED = int(Label.CONFUSED)
 _ZERO = int(Label.ZERO)
 _A = int(Label.A)
 _NEG_A = int(Label.NEG_A)
+# label under the global negation A <-> -A
+_NEGATED = np.array([_ZERO, _NEG_A, _A, _CONFUSED], dtype=np.int8)
+# base-4 digits per float64 word of an orbit key: 4**26 <= 2**52, so
+# every packed word and every partial sum of one is exact
+_DIGITS = 26
 
 
 @dataclass(frozen=True)
@@ -104,67 +128,177 @@ class SolveReport:
 class _Limits:
     def __init__(self, budget: Budget):
         self.nodes_used = 0
+        self.enforced = True  # False: count nodes, never raise
         self._max_nodes = budget.nodes
         self._deadline = (
             time.perf_counter() + budget.seconds if budget.seconds is not None else None
         )
 
+    def expired(self) -> bool:
+        return self._deadline is not None and time.perf_counter() > self._deadline
+
     def charge(self):
-        if self._max_nodes is not None and self.nodes_used >= self._max_nodes:
-            raise BudgetExceeded("node budget exhausted")
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            raise BudgetExceeded("time budget exhausted")
+        if self.enforced:
+            if self._max_nodes is not None and self.nodes_used >= self._max_nodes:
+                raise BudgetExceeded("node budget exhausted")
+            if self.expired():
+                raise BudgetExceeded("time budget exhausted")
         self.nodes_used += 1
 
 
-def _search(ctx: StepContext, root: np.ndarray, allow_neg: bool, limits: _Limits):
-    """Fill a memo of exact future-confusion values and best moves."""
-    memo = {}
-    root_key = root.tobytes()
+class _OrbitKey:
+    """Canonical representatives of label states under a set of signed
+    automorphisms, and in rID also under the global negation A <-> -A.
 
-    def eval_state(labels, key, at_root):
-        cached = memo.get(key)
-        if cached is not None:
-            return cached[0]
-        if not (labels == _ZERO).any():
-            memo[key] = (0, None)
+    A state's representative is the lexicographically smallest labels[P]
+    over the rows P (and over the negated copies in rID). Each row packs
+    into base-4 float64 words of _DIGITS digits, earlier vertices more
+    significant, so one matrix product packs every candidate of every
+    child and the smallest word tuple is the smallest row.
+    """
+
+    def __init__(self, perms: np.ndarray, negate: bool):
+        n_perms, n = perms.shape
+        self._perms = perms
+        self._negate = negate
+        words = -(-n // _DIGITS)
+        # labels[P][pos] = labels[u] with pos = inv[P, u]
+        inv = np.argsort(perms, axis=1)
+        weights = np.zeros((n, words, n_perms))
+        weights[np.arange(n)[None, :], inv // _DIGITS, np.arange(n_perms)[:, None]] = (
+            4.0 ** (_DIGITS - 1 - inv % _DIGITS)
+        )
+        self._weights = weights.reshape(n, words * n_perms)
+        self._words = words
+
+    def representatives(self, states: np.ndarray) -> np.ndarray:
+        """The representative of each row of states."""
+        sides = np.stack((states, _NEGATED[states]) if self._negate else (states,))
+        n_sides, k, n = sides.shape
+        n_perms = self._perms.shape[0]
+        packed = (sides.reshape(-1, n).astype(np.float64) @ self._weights).reshape(
+            n_sides, k, self._words, n_perms
+        )
+        packed = packed.transpose(1, 2, 0, 3).reshape(k, self._words, n_sides * n_perms)
+        best = packed[:, 0] == packed[:, 0].min(axis=1, keepdims=True)
+        for w in range(1, self._words):
+            word = np.where(best, packed[:, w], np.inf)
+            best = word == word.min(axis=1, keepdims=True)
+        side, row = np.divmod(best.argmax(axis=1), n_perms)
+        return sides[side[:, None], np.arange(k)[:, None], self._perms[row]]
+
+
+@dataclass(eq=False)
+class _Node:
+    """An expanded state: its children in lexicographic order, their
+    moves, the confusion each adds, which are complete, and their orbit
+    representatives once some child needs them."""
+
+    children: np.ndarray
+    moves: np.ndarray
+    added: np.ndarray
+    done: np.ndarray
+    reps: np.ndarray | None = None
+
+
+class _Search:
+    """Exact future confusion of label states, by memoized depth-first
+    search.
+
+    The memo holds values only. A key is the bytes of a state: the state
+    itself until the orbit key is known, its orbit representative after.
+    Either way the key is the bytes of a state of the same orbit, so the
+    two kinds of entry share one dict soundly.
+    """
+
+    def __init__(self, ctx: StepContext, allow_neg: bool, limits: _Limits,
+                 orbit_key: _OrbitKey | None = None):
+        self._ctx = ctx
+        self._allow_neg = allow_neg
+        self._limits = limits
+        self._memo = {}
+        self._orbit_key = orbit_key
+        self._root = None  # the root's expansion, which the witness walk starts from
+        # Ski rental: finding the group costs about as much as 2n nodes,
+        # so it runs only once the search has spent that many. A solve
+        # that ends sooner never pays for it; one that goes on pays at
+        # most about twice what an oracle choosing up front would.
+        self._detect_at = None if orbit_key is not None else limits.nodes_used + 2 * ctx.graph.n
+
+    def _expand(self, labels: np.ndarray, at_root: bool) -> _Node:
+        children, moves, ccounts = self._ctx.expand(labels, self._allow_neg and not at_root)
+        added = ccounts - np.count_nonzero(labels == _CONFUSED)
+        return _Node(children, moves, added, ~(children == _ZERO).any(axis=1))
+
+    def _value(self, node: _Node, i: int) -> int:
+        """Exact future confusion of child i of node."""
+        if node.done[i]:
             return 0
-        limits.charge()
-        cur_c = int((labels == _CONFUSED).sum())
-        children, moves, ccounts = ctx.expand(labels, allow_neg and not at_root)
+        child = node.children[i]
+        key = child.tobytes()
+        cached = self._memo.get(key)
+        if cached is None and self._orbit_key is not None:
+            if node.reps is None:
+                node.reps = self._orbit_key.representatives(node.children)
+            key = node.reps[i].tobytes()
+            cached = self._memo.get(key)
+        return self._solve(child, key) if cached is None else cached
+
+    def _solve(self, labels: np.ndarray, key: bytes, at_root: bool = False) -> int:
+        self._limits.charge()
+        if self._limits.nodes_used == self._detect_at:
+            self._detect_at = None
+            perms = automorphisms(self._ctx.graph, self._limits.expired)
+            if perms is not None:
+                self._orbit_key = _OrbitKey(perms, self._allow_neg)
+        node = self._expand(labels, at_root)
+        if at_root:
+            self._root = node
         best = None
-        best_move = None
-        for i in range(len(ccounts)):
-            added = int(ccounts[i]) - cur_c
-            if best is not None and added >= best:
+        for i in range(len(node.added)):
+            a = int(node.added[i])
+            if best is not None and a >= best:
                 continue
-            child = children[i]
-            total = added + eval_state(child, child.tobytes(), False)
+            total = a + self._value(node, i)
             if best is None or total < best:
                 best = total
-                best_move = (int(moves[i, 0]), int(moves[i, 1]))
                 if best == 0:
                     break
-        memo[key] = (best, best_move)
+        self._memo[key] = best
         return best
 
-    try:
-        eval_state(root, root_key, True)
-    finally:
-        del eval_state  # the closure refers to itself; free it with the memo
-    return memo, root_key
+    def optimum(self, root: np.ndarray) -> int:
+        if not (root == _ZERO).any():
+            return 0
+        return self._solve(root, root.tobytes(), at_root=True)
 
+    def witness(self, root: np.ndarray, optimum: int) -> list:
+        """The lexicographically smallest optimal placements from the
+        root that optimum() searched.
 
-def _extract_strategy(ctx: StepContext, memo: dict, root: np.ndarray, mode: str) -> Strategy:
-    placements = []
-    labels = root
-    while True:
-        _, move = memo[labels.tobytes()]
-        if move is None:
-            break
-        placements.append(Placement(move[0], Label(move[1])))
-        labels = ctx.step(labels, move[0], move[1])
-    return Strategy(mode, tuple(placements))
+        At each state it takes the first child whose added confusion
+        plus value equals the state's value. The search prunes a child
+        only when its added confusion alone reaches the best total found
+        before it, so at a state the search expanded, the first child
+        attaining the value was searched. A state on the walk whose value
+        came from an orbit-mate was not expanded, and its first attaining
+        child may map to one the mate pruned; the walk then solves that
+        child. Those solves are counted in the nodes but never charged
+        against the budget, so a search that proved its optimum keeps it.
+        """
+        placements = []
+        labels, left = root, optimum
+        self._limits.enforced = False
+        try:
+            while (labels == _ZERO).any():
+                node = self._expand(labels, False) if placements else self._root
+                i = next(i for i in range(len(node.added))
+                         if node.added[i] <= left and node.added[i] + self._value(node, i) == left)
+                placements.append(Placement(int(node.moves[i, 0]), Label(int(node.moves[i, 1]))))
+                labels, left = node.children[i], left - int(node.added[i])
+        finally:
+            self._limits.enforced = True
+        return placements
 
 
 def _report(t0: float, limits: _Limits, optimum: int, witness: Strategy,
@@ -187,12 +321,13 @@ def _branch_solve(g: SignedGraph, mode: str, budget: Budget) -> SolveReport:
     ctx = StepContext(g)
     limits = _Limits(budget)
     root = ctx.zeros_state()
+    search = _Search(ctx, mode == MODE_RID, limits)
     try:
-        memo, root_key = _search(ctx, root, mode == MODE_RID, limits)
+        value = search.optimum(root)
+        witness = Strategy(mode, search.witness(root, value))
     except BudgetExceeded:
         return _fallback(g, mode, t0, limits)
-    value, _ = memo[root_key]
-    return _report(t0, limits, value, _extract_strategy(ctx, memo, root, mode), True)
+    return _report(t0, limits, value, witness, True)
 
 
 def _check_exact_pre(g: SignedGraph, budget: Budget, default_cap: int, op: str):
@@ -239,16 +374,17 @@ def relaxed_via_class(g: SignedGraph, budget: Budget | None = None) -> SolveRepo
             members = frozenset(v for v in range(1, g.n) if (mask >> (v - 1)) & 1)
             sg = switch(g, members)
             ctx = StepContext(sg)
-            memo, root_key = _search(ctx, ctx.zeros_state(), False, limits)
-            value, _ = memo[root_key]
+            root = ctx.zeros_state()
+            search = _Search(ctx, False, limits)
+            value = search.optimum(root)
             if best is None or value < best:
+                placements = search.witness(root, value)
                 best = value
-                id_witness = _extract_strategy(ctx, memo, ctx.zeros_state(), MODE_ID)
                 best_witness = Strategy(
                     MODE_RID,
                     tuple(
                         Placement(p.vertex, Label.NEG_A if p.vertex in members else Label.A)
-                        for p in id_witness.placements
+                        for p in placements
                     ),
                 )
                 if best == 0:

@@ -7,16 +7,19 @@ smallest vertex id, so each policy is deterministic.
 
 from __future__ import annotations
 
-from .engine import MODE_ID, Label, Placement, StepContext, Strategy, pending_signals
+import numpy as np
+
+from .engine import MODE_ID, Label, Placement, StepContext, Strategy
 from .errors import InputError
 from .graph import SignedGraph, is_balanced
 
 _ZERO = int(Label.ZERO)
 
 
-def _drive(g: SignedGraph, pick) -> Strategy:
-    """Run the process, choosing each placement with pick(labels, i)."""
-    ctx = StepContext(g)
+def _drive(g: SignedGraph, pick, ctx: StepContext | None = None) -> Strategy:
+    """Run the process, choosing each placement with pick(labels, i);
+    ctx, if given, is g's StepContext, shared with pick."""
+    ctx = StepContext(g) if ctx is None else ctx
     labels = ctx.zeros_state()
     placements = []
     while (labels == _ZERO).any():
@@ -124,18 +127,18 @@ def rescue_priority(g: SignedGraph) -> Strategy:
     if not g.connected():
         raise InputError("rescue_priority expects a connected graph")
 
-    def pick(labels, i):
-        hp, hm = pending_signals(g, labels)
-        zeros = _zeros(labels)
-        for v in zeros:
-            if hp[v] and hm[v]:
-                return v
-        for v in zeros:
-            if hp[v] or hm[v]:
-                return v
-        return zeros[0]
+    ctx = StepContext(g)
 
-    return _drive(g, pick)
+    def pick(labels, i):
+        zeros = np.flatnonzero(labels == _ZERO)
+        heard = ctx.hearing(labels)[zeros]
+        for hit in (heard == 3, heard != 0):
+            first = np.flatnonzero(hit)
+            if len(first):
+                return int(zeros[first[0]])
+        return int(zeros[0])
+
+    return _drive(g, pick, ctx)
 
 
 def balanced_partition_first(g: SignedGraph) -> Strategy:

@@ -9,6 +9,7 @@ from signedspread.engine import (
     Placement,
     StepContext,
     Strategy,
+    Trace,
     label_to_str,
     levels,
     mirror_trace,
@@ -21,8 +22,9 @@ from signedspread.engine import (
     trace_to_json,
 )
 from signedspread.errors import InputError, StrategyError
-from signedspread.families import gen_cycle, gen_gn, gen_path, gen_random_connected
+from signedspread.families import gen_cycle, gen_gn, gen_gst, gen_path, gen_random_connected
 from signedspread.graph import SignedGraph, negate_signature
+from signedspread.solver import exact_relaxed_confusion
 
 
 def test_label_negation_and_strings():
@@ -197,3 +199,19 @@ def test_gn_balanced_play_floods_without_confusion():
     trace = run(g, Strategy(MODE_ID, (Placement(0, Label.A),)))
     assert trace.final[3] == int(Label.NEG_A)  # matched partner flips
     assert trace.final[1] == int(Label.A) and trace.final[2] == int(Label.A)
+
+
+def test_trace_json_snapshots_match_label_to_str():
+    g = gen_random_connected(5, 9)
+    rng = np.random.default_rng(5)
+    snaps = rng.integers(0, 4, size=(6, g.n)).astype(np.int8)
+    snaps[0, :4] = [int(label) for label in Label]  # every label value
+    trace = Trace(g, Strategy(MODE_RID, ()), tuple(snaps), False)
+    want = [[label_to_str(x) for x in snap] for snap in trace.snapshots]
+    assert trace_to_json(trace)["snapshots"] == want
+    gst = gen_gst(4, 3)
+    real = run(gst, exact_relaxed_confusion(gst).witness)  # 3 confused
+    assert {int(x) for snap in real.snapshots for x in snap} == {int(label) for label in Label}
+    payload = trace_to_json(real)
+    assert payload["snapshots"] == [[label_to_str(x) for x in s] for s in real.snapshots]
+    assert all(type(x) is str for snap in payload["snapshots"] for x in snap)

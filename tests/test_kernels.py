@@ -93,6 +93,18 @@ def test_step_matches_reference(gl, info, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(random_states())
+def test_hearing_matches_pending_signals(gl):
+    g, labels = gl
+    heard = StepContext(g).hearing(labels)
+    hears_p, hears_m = pending_signals(g, labels)
+    zero = labels == int(Label.ZERO)
+    assert heard.dtype == np.int8
+    assert np.array_equal(heard[zero] & 1 != 0, np.array(hears_p)[zero])
+    assert np.array_equal(heard[zero] & 2 != 0, np.array(hears_m)[zero])
+
+
+@settings(max_examples=100, deadline=None)
 @given(random_states(), st.booleans())
 def test_expand_matches_reference(gl, allow_neg):
     g, labels = gl

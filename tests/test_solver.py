@@ -9,6 +9,7 @@ from signedspread.errors import CapacityError, InputError
 from signedspread.families import (
     gen_cycle,
     gen_gn,
+    gen_gst,
     gen_ktt_tau,
     gen_path,
     gen_random_connected,
@@ -286,6 +287,8 @@ def test_min_steps_long_path_and_cycle_past_the_cap():
         lambda: min_steps(gen_path(12)),
         lambda: min_steps(gen_cycle(10), MODE_RID),
         lambda: exact_confusion(gen_gn(8), Budget(nodes=3)),
+        # past 2n nodes, so the search finds the group and keys on orbits
+        lambda: exact_relaxed_confusion(gen_gst(8, 3), Budget(max_n=200)),
         lambda: min_steps(gen_path(12), MODE_ID, Budget(nodes=0)),
     ],
 )

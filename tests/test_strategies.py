@@ -1,15 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread.engine import run
+from signedspread.engine import Label, StepContext, pending_signals, run
 from signedspread.errors import InputError
 from signedspread.families import (
     gen_cycle,
     gen_gn,
+    gen_gst,
     gen_path,
     gen_random_connected,
     gen_random_tree,
 )
+from signedspread import strategies
 from signedspread.strategies import (
     POLICIES,
     balanced_partition_first,
@@ -114,3 +116,45 @@ def test_policy_bound_values():
     assert policy_bound("balanced_partition_first", g) == 2
     with pytest.raises(InputError):
         policy_bound("nonsense", g)
+
+
+def reference_rescue_placements(g):
+    """rescue_priority's rule on the plain-Python pending_signals."""
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    placements = []
+    while (labels == int(Label.ZERO)).any():
+        hp, hm = pending_signals(g, labels)
+        zeros = [v for v in range(g.n) if labels[v] == int(Label.ZERO)]
+        v = next((v for v in zeros if hp[v] and hm[v]),
+                 next((v for v in zeros if hp[v] or hm[v]), zeros[0]))
+        placements.append(v)
+        labels = ctx.step(labels, v, int(Label.A))
+    return placements
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5000), st.integers(3, 30), st.sampled_from([4, 8]))
+def test_rescue_priority_matches_pending_signals_pick(seed, n, mean_degree):
+    g = gen_random_connected(seed, n, min(1.0, mean_degree / n))
+    got = [pl.vertex for pl in rescue_priority(g).placements]
+    assert got == reference_rescue_placements(g)
+    assert all(type(v) is int for v in got)
+
+
+def test_rescue_priority_matches_pending_signals_pick_on_gst():
+    g = gen_gst(30, 3)
+    assert [pl.vertex for pl in rescue_priority(g).placements] == reference_rescue_placements(g)
+
+
+def test_rescue_priority_builds_one_step_context(monkeypatch):
+    built = []
+
+    class Counting(StepContext):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(strategies, "StepContext", Counting)
+    rescue_priority(gen_gst(5, 3))
+    assert len(built) == 1
