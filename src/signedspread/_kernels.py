@@ -2,10 +2,15 @@
 
 One broadcast round and child expansion run on a CSR adjacency in numpy.
 The switching scan behind the frustration index exists twice, compiled
-with numba and in pure numpy (which finds the minimum and every mask
-attaining it in one pass); the environment variable
-SIGNEDSPREAD_BACKEND ("numba" or "numpy"; unset/auto picks numba when it
-is importable and numpy otherwise) chooses between those two.
+with numba and in pure numpy. The numpy scan builds the negative-edge
+count of all 2^(n-1) switchings in one table by doubling, one vertex at
+a time after a directly counted base table, in O(2^(n-1)) memory (a few bytes per switching) and
+O(2^(n-1)) time times one plus the average back-degree, and returns the
+minimum with every mask attaining it; graph.frustration_index
+refuses n > FRUSTRATION_SCAN_MAX_N (28) before the table exists. The
+environment variable SIGNEDSPREAD_BACKEND ("numba" or "numpy"; unset/auto
+picks numba when it is importable and numpy otherwise) chooses between
+the two; any other value, or "numba" without numba, raises BackendError.
 
 Label codes: 0 = Zero (uninformed), 1 = A, 2 = -A, 3 = C (confused).
 A Zero vertex adopts the unique signed value it hears from informed
@@ -19,6 +24,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from .errors import BackendError
 
 try:
     from numba import njit
@@ -34,7 +41,9 @@ INFO_A = 1
 INFO_NEG_A = 2
 CONFUSED = 3
 
-_CHUNK = 1 << 16
+# the switching scan counts the table of this many low mask bits directly:
+# below it, numpy's fixed cost per call outweighs the doubling's savings
+_BASE_BITS = 8
 
 
 def resolve_backend(override: str | None = None) -> str:
@@ -44,11 +53,11 @@ def resolve_backend(override: str | None = None) -> str:
         return "numba" if HAVE_NUMBA else "numpy"
     if req == "numba":
         if not HAVE_NUMBA:
-            raise RuntimeError("backend 'numba' requested but numba is not importable")
+            raise BackendError("backend 'numba' requested but numba is not importable")
         return "numba"
     if req == "numpy":
         return "numpy"
-    raise RuntimeError(f"unknown backend {req!r} (expected 'numba' or 'numpy')")
+    raise BackendError(f"unknown backend {req!r} (expected 'numba' or 'numpy')")
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +130,54 @@ def place_and_round(csr, labels, verts, infos):
 
 
 def frustration_scan_numpy(shift_u, shift_v, eneg, n_masks):
-    """Minimum negative-edge count over all switchings, scanned by mask.
+    """Minimum negative-edge count over all switchings, and its masks.
 
-    Masks encode switch sets over vertices 1..n-1 (vertex 0 is pinned
-    outside). Returns (best, every mask attaining it in increasing
-    order as an int64 array), both gathered in one chunked pass.
+    Masks encode switch sets over vertices 1..n-1: bit b is vertex b + 1,
+    and vertex 0 is pinned outside (shift 63). Returns (best, every mask
+    attaining it in increasing order as an int64 array).
+
+    The count of every mask is built in one table by doubling. Each edge
+    is charged once, at its later bit (an edge to vertex 0 at its other
+    end). The table of the low _BASE_BITS bits is counted directly, in
+    one broadcast over masks and the edges charged there. Each further
+    bit b doubles it: with bits 0..b-1 placed, c0[mask] counts the
+    negative edges among b's back edges when b is not switched, and
+    switching b flips each of its d back edges, so the table for bits
+    0..b is [counts + c0, counts + d - c0]. That costs
+    O(2^(n-1) * (1 + average back-degree)) time and a few bytes per mask,
+    in the narrowest unsigned dtype that holds m.
     """
-    m = len(shift_u)
-    best = m + 1
-    tied = []
-    # uint64 >> int64 has no safe common type in numpy; shift as uint64
-    su = shift_u.astype(np.uint64)
-    sv = shift_v.astype(np.uint64)
-    eneg64 = [np.uint64(x) for x in eneg]
-    one = np.uint64(1)
-    for lo in range(0, n_masks, _CHUNK):
-        hi = min(lo + _CHUNK, n_masks)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(m):
-            flip = ((masks >> su[j]) ^ (masks >> sv[j])) & one
-            counts += (flip ^ eneg64[j]).astype(np.int64)
-        cbest = int(counts.min())
-        if cbest < best:
-            best, tied = cbest, []
-        if cbest == best:
-            tied.append(masks[counts == best].astype(np.int64))
-    return best, np.concatenate(tied)
+    dtype = np.min_scalar_type(len(shift_u))
+    n_bits = n_masks.bit_length() - 1
+    lo, hi = np.minimum(shift_u, shift_v), np.maximum(shift_u, shift_v)
+    pinned = hi == 63
+    hi[pinned], lo[pinned] = lo[pinned], 63
+    low_bits = min(n_bits, _BASE_BITS)
+    base = hi < low_bits
+    # a mask shifted by 63 is 0: vertex 0 is never switched
+    masks = np.arange(1 << low_bits)[:, None]
+    flip = ((masks >> lo[base]) ^ (masks >> hi[base])) & 1
+    counts = (flip ^ eneg[base]).sum(axis=1, dtype=dtype)
+    back = [[] for _ in range(n_bits)]
+    for a, b, e in zip(lo[~base].tolist(), hi[~base].tolist(), eneg[~base].tolist()):
+        back[b].append((a, e))
+    for b in range(low_bits, n_bits):
+        half = 1 << b
+        c0 = np.zeros(half, dtype=dtype)
+        # with b unswitched, an edge to vertex 0 is negative iff its sign
+        # is, and an edge to bit a iff bit a of the mask is 1 - e
+        for a, e in back[b]:
+            if a == 63:
+                c0 += e
+            else:
+                c0.reshape(-1, 2, 1 << a)[:, 1 - e, :] += 1
+        out = np.empty(2 * half, dtype=dtype)
+        np.add(counts, c0, out=out[:half])
+        np.subtract(len(back[b]), c0, out=out[half:])
+        out[half:] += counts
+        counts = out
+    best = int(counts.min())
+    return best, np.flatnonzero(counts == best)
 
 
 # ---------------------------------------------------------------------------

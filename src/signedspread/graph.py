@@ -27,6 +27,9 @@ CycleSet = frozenset  # of canonical vertex tuples
 
 NEGATIVE_CYCLES_MAX_N = 10
 FRUSTRATION_MAX_N = 20
+# hard ceiling whatever max_n says: the switching scan holds a table of
+# 2^(n-1) counts, 128 Mi entries at n = 28
+FRUSTRATION_SCAN_MAX_N = 28
 # largest vertex count graph JSON may declare; the engine allocates O(n)
 # arrays up front, so a huge declared n must fail before any allocation
 JSON_MAX_N = 1_000_000
@@ -343,9 +346,12 @@ def frustration_index(
     Returns (value, witness) where witness is the negative edge set of a
     minimizing switching; ties pick the lexicographically smallest edge
     set. Equals the minimum number of edge deletions that balance g.
+    Raises CapacityError past max_n, and always past
+    FRUSTRATION_SCAN_MAX_N, before the scan allocates its table.
     """
-    if g.n > max_n:
-        raise CapacityError(f"frustration_index capped at n <= {max_n}, got {g.n}")
+    cap = min(max_n, FRUSTRATION_SCAN_MAX_N)
+    if g.n > cap:
+        raise CapacityError(f"frustration_index capped at n <= {cap}, got {g.n}")
     if g.m == 0:
         return 0, frozenset()
     shift_u, shift_v, eneg = _edge_shift_arrays(g)

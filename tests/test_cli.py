@@ -4,20 +4,23 @@ Every test shells out to a fresh interpreter, so these double as an
 install smoke test and as the contract for scripting against the tool.
 """
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "signedspread", *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, **env} if env else None,
     )
 
 
@@ -112,6 +115,26 @@ def test_oversized_graph_json_exit_1(command):
     proc = run_cli(*command, stdin='{"n": 10000000000000, "edges": []}')
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_frustration_scan_ceiling_exit_1():
+    # --max-n cannot lift the scan past its 2^(n-1)-entry table ceiling
+    graph = run_cli("generate", "path", "40").stdout
+    proc = run_cli("frustration", "--max-n", "40", stdin=graph)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("backend", ["fortran", "numba"])
+@pytest.mark.parametrize("command", [["frustration"], ["verify", "--claim", "frustration_family"]])
+def test_bad_backend_exit_1(backend, command):
+    if backend == "numba" and importlib.util.find_spec("numba") is not None:
+        pytest.skip("numba is importable, so the backend is valid")
+    graph = run_cli("generate", "ktt", "3").stdout
+    proc = run_cli(*command, stdin=graph, env={"SIGNEDSPREAD_BACKEND": backend})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "backend" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from signedspread.families import (
     gen_random_connected,
 )
 from signedspread.graph import (
+    FRUSTRATION_SCAN_MAX_N,
     JSON_MAX_N,
     SignedGraph,
     _edge_shift_arrays,
@@ -230,14 +231,16 @@ def test_frustration_matches_switching_reference(g):
 @pytest.mark.parametrize(
     "edges, want",
     [
-        # all-negative triangle plus 15 isolated vertices: the tied masks
-        # fill both 65,536-mask chunks of the scan
+        # all-negative triangle plus 15 isolated vertices: those leave
+        # every count unchanged, so the tied masks spread over all 2^17
+        # entries of the table
         ([(0, 1, -1), (0, 2, -1), (1, 2, -1)], (1, {(0, 1)})),
-        # both chunks reach the minimum, but only the first chunk's masks
-        # (vertex 17 unswitched) give the smallest witness
+        # the last bit (vertex 17) has back edges to vertex 0 and to bit 0;
+        # both halves of the table reach the minimum, but only the lower
+        # half's masks (vertex 17 unswitched) give the smallest witness
         ([(0, 1, -1), (0, 17, 1), (1, 17, 1)], (1, {(0, 1)})),
-        # the pinned edge 0-17 is negative in every mask of the first chunk,
-        # so the second chunk's strictly better masks must replace its ties
+        # the edge 0-17 is negative in every mask of the lower half, so the
+        # minimum lies only in the upper half (vertex 17 switched)
         ([(0, 17, -1), (2, 3, -1), (2, 4, -1), (3, 4, -1)], (1, {(2, 3)})),
     ],
 )
@@ -297,6 +300,68 @@ def test_frustration_zero_iff_balanced():
 def test_frustration_cap():
     with pytest.raises(CapacityError):
         frustration_index(gen_random_connected(2, 9), max_n=8)
+
+
+@pytest.mark.parametrize("n", [FRUSTRATION_SCAN_MAX_N + 1, 40, 64])
+def test_frustration_scan_ceiling_ignores_max_n(n):
+    # the scan table has 2^(n-1) entries; the refusal comes before it exists
+    with pytest.raises(CapacityError, match=f"n <= {FRUSTRATION_SCAN_MAX_N}"):
+        frustration_index(gen_path(n), max_n=n)
+
+
+@pytest.mark.parametrize(
+    "n, want, ties",
+    [
+        (17, 64, 24_310),  # m = 136: past int8
+        (20, 90, 92_378),  # m = 190
+        (24, 132, 1_352_078),  # m = 276: past uint8
+    ],
+)
+def test_frustration_counts_wider_than_8_bits(n, want, ties):
+    g = SignedGraph.from_edge_list(n, [(u, v, -1) for u in range(n) for v in range(u + 1, n)])
+    best, masks = _kernels.frustration_scan_numpy(*_edge_shift_arrays(g), 1 << (n - 1))
+    assert (best, len(masks)) == (want, ties)
+    assert frustration_index(g, max_n=n)[0] == want
+
+
+def is_switching_of(g, negatives):
+    """Plain-Python 2-colouring: is `negatives` the negative edge set of
+    some switching of g? Switching flips exactly the edges across the
+    switch set, so the sides must satisfy side[u] ^ side[v] == flipped."""
+    adj = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        flipped = (s < 0) != ((u, v) in negatives)
+        adj[u].append((v, flipped))
+        adj[v].append((u, flipped))
+    side = [None] * g.n
+    for root in range(g.n):
+        if side[root] is not None:
+            continue
+        side[root] = False
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, flipped in adj[u]:
+                if side[v] is None:
+                    side[v] = side[u] != flipped
+                    stack.append(v)
+                elif side[v] != (side[u] != flipped):
+                    return False
+    return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 99999), st.integers(12, 18), st.randoms(use_true_random=False))
+def test_frustration_invariant_under_relabeling(seed, n, rnd):
+    g = gen_random_connected(seed, n)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    h = SignedGraph.from_edge_list(n, [(perm[u], perm[v], s) for u, v, s in g.edges])
+    value, witness = frustration_index(g)
+    assert frustration_index(h)[0] == value
+    for graph, (v, w) in ((g, (value, witness)), (h, frustration_index(h))):
+        assert len(w) == v and w <= {(a, b) for a, b, _ in graph.edges}
+        assert is_switching_of(graph, w)
 
 
 def test_realize_min_signature():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signedspread import _kernels
 from signedspread.engine import Label, StepContext, pending_signals
 from signedspread.families import gen_ktt_tau, gen_path, gen_random_connected
-from signedspread.graph import SignedGraph, frustration_index
+from signedspread.graph import SignedGraph, _edge_shift_arrays, frustration_index
 from signedspread.solver import exact_confusion, exact_relaxed_confusion
 
 
@@ -149,6 +149,40 @@ def test_frustration_backend_parity(seed, n):
     assert (
         frustration_index(g, backend="numpy") == frustration_index(g, backend="numba")
     )
+
+
+@st.composite
+def signed_edge_lists(draw):
+    """(n, edges) on n = 1..10 vertices, any subset of the pairs: edges at
+    vertex 0, isolated vertices and disconnected graphs all occur."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return n, [(u, v, draw(st.sampled_from([1, -1]))) for u, v in sorted(picked)]
+
+
+def reference_scan(n, edges):
+    """Negative edges of every switch set over vertices 1..n-1 (bit b is
+    vertex b + 1), counted one mask at a time."""
+    counts = []
+    for mask in range(1 << (n - 1)):
+        side = [0] + [(mask >> (v - 1)) & 1 for v in range(1, n)]
+        counts.append(sum((s < 0) != (side[u] != side[v]) for u, v, s in edges))
+    best = min(counts)
+    return best, [mask for mask, c in enumerate(counts) if c == best]
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_edge_lists())
+@example((1, []))
+@example((10, [(0, 9, -1), (0, 4, 1), (4, 9, 1)]))  # edges at vertex 0, 6 isolated
+@example((9, [(0, 1, -1), (2, 3, -1), (3, 8, -1), (2, 8, -1), (5, 6, 1)]))  # 3 parts
+def test_frustration_scan_matches_reference(case):
+    n, edges = case
+    shifts = _edge_shift_arrays(SignedGraph.from_edge_list(n, edges))
+    best, masks = _kernels.frustration_scan_numpy(*shifts, 1 << (n - 1))
+    assert masks.dtype == np.int64
+    assert (best, masks.tolist()) == reference_scan(n, edges)
 
 
 @settings(max_examples=60, deadline=None)
