@@ -15,10 +15,10 @@ what is hoped.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
-from .engine import MODE_ID, MODE_RID, Label, StepContext, mirror_trace, run
+from .engine import MODE_ID, MODE_RID, mirror_trace, run
 from .errors import BudgetExceeded, CapacityError, InputError
 from .families import (
     FamilySpec,
@@ -76,9 +76,8 @@ class ClaimResult:
 
 
 def _cap(budget: Budget, max_n: int) -> Budget:
-    if budget.max_n is not None:
-        max_n = budget.max_n
-    return Budget(nodes=budget.nodes, seconds=budget.seconds, max_n=max_n)
+    """budget with max_n as its size cap, unless the caller set one."""
+    return replace(budget, max_n=budget.cap(max_n))
 
 
 def _opt(report):
@@ -395,78 +394,18 @@ def _claim_maxdeg_ratio(budget: Budget, count=8) -> ClaimResult:
     )
 
 
-def _gst_forced_value(s: int, t: int, relaxed: bool):
-    """Upper bound via the two-placement construction, and a lower
-    bound by exhausting every second placement after the canonical
-    first one (sound because the family is vertex-transitive, which
-    _gst_vertex_transitive certifies, and placing the first mark at
-    any vertex is equivalent up to that symmetry; in relaxed mode the
-    first sign is fixed by the global negation symmetry)."""
-    g = gen_gst(s, t)
-    ctx = StepContext(g)
-    after1 = ctx.step(ctx.zeros_state(), 0, int(Label.A))
-    if not (after1 == 0).any():
-        raise InputError("layered instance too small for the forcing argument")
-    after2 = ctx.step(after1, 2 * t + 1, int(Label.A))
-    complete = not (after2 == 0).any()
-    upper = int((after2 == 3).sum())
-    lower = None
-    signs = (1, 2) if relaxed else (1,)
-    for v2 in range(g.n):
-        if after1[v2] != 0:
-            continue
-        for sign in signs:
-            c = int((ctx.step(after1, v2, sign) == 3).sum())
-            if lower is None or c < lower:
-                lower = c
-    return g, upper, lower, complete
-
-
-def _gst_vertex_transitive(g: SignedGraph, s: int, t: int) -> bool:
-    """Certify the automorphisms used by the forcing argument: the
-    layer shift and the slot rotation generate a vertex-transitive
-    group when both preserve signed adjacency."""
-
-    def is_auto(perm):
-        for u, v, sg in g.edges:
-            mu, mv = perm[u], perm[v]
-            if not g.has_edge(mu, mv) or g.sign_of(mu, mv) != sg:
-                return False
-        return True
-
-    shift = [(((u // t) + 1) % s) * t + (u % t) for u in range(g.n)]
-    rotate = [(u // t) * t + ((u % t) + 1) % t for u in range(g.n)]
-    return is_auto(shift) and is_auto(rotate)
-
-
-def _gst6_checks(t: int, relaxed: bool) -> list:
-    """gst(6, t) is past the exact solvers' size cap: certify its
-    symmetry, then match the construction's upper bound and the forced
-    lower bound against 3t - 4."""
-    g6, upper, lower, complete = _gst_forced_value(6, t, relaxed)
-    want = 3 * t - 4
-    tag = f"gst(s=6, t={t})" + (" relaxed" if relaxed else "")
-    return [
-        ("gst(s=6) symmetry certificate", _gst_vertex_transitive(g6, 6, t), "not transitive"),
-        (f"{tag} construction", complete and upper == want,
-         f"upper {upper}, complete {complete}"),
-        _value(f"{tag} forced lower", lower, want),
-    ]
-
-
 def _claim_gst_confusion(budget: Budget, t=3) -> ClaimResult:
     checks = []
-    for s, want in ((4, 2 * t - 3), (5, 3 * t - 4)):
-        got = _opt(exact_confusion(gen_gst(s, t), budget))
+    for s, want in ((4, 2 * t - 3), (5, 3 * t - 4), (6, 3 * t - 4)):
+        got = _opt(exact_confusion(gen_gst(s, t), _cap(budget, s * t)))
         checks.append(_value(f"gst(s={s}, t={t})", got, want))
     for flags in ((True, False, True, True, False), (False, False, True, False, True)):
-        got = _opt(exact_confusion(gen_gst(5, t, flags), budget))
+        got = _opt(exact_confusion(gen_gst(5, t, flags), _cap(budget, 5 * t)))
         checks.append(_value(f"gst(s=5, t={t}, flags={flags})", got, 3 * t - 4))
-    checks += _gst6_checks(t, relaxed=False)
     return _aggregate(
         "gst_confusion",
         f"layered ring family, s in (4,5,6), t={t}",
-        "confusion = n/2-3 (s=4), 3n/5-4 (s=5), n/2-4 (s=6, by construction + forcing)",
+        "confusion = n/2-3 (s=4), 3n/5-4 (s=5), n/2-4 (s=6)",
         checks,
         repro="signedspread generate gst 4 3 | signedspread solve --exact",
     )
@@ -608,10 +547,9 @@ def _claim_relaxed_families(budget: Budget, t=3) -> ClaimResult:
     for tt in (3, 4):
         got = _opt(exact_relaxed_confusion(gen_ktt_tau(tt), budget))
         checks.append(_value(f"ktt(t={tt})", got, tt - 2))
-    for s, want in ((4, 2 * t - 3), (5, 3 * t - 4)):
-        got = _opt(exact_relaxed_confusion(gen_gst(s, t), budget))
+    for s, want in ((4, 2 * t - 3), (5, 3 * t - 4), (6, 3 * t - 4)):
+        got = _opt(exact_relaxed_confusion(gen_gst(s, t), _cap(budget, s * t)))
         checks.append(_value(f"gst(s={s}, t={t}) relaxed", got, want))
-    checks += _gst6_checks(t, relaxed=True)
     return _aggregate(
         "relaxed_families",
         f"matched bipartite t in (3,4); layered ring s in (4,5,6), t={t}",
@@ -791,6 +729,8 @@ def family_instances(max_n: int = 12):
 
 
 def random_instances(count: int = 100, max_n: int = 8, seed: int = 7):
+    if max_n < 3:
+        raise InputError(f"random instances need max_n >= 3, got {max_n}")
     out = []
     for i in range(count):
         n = 3 + (i % (max_n - 2))  # 3..max_n

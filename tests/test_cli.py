@@ -195,6 +195,19 @@ def test_explore_conjecture_finds_violations():
     assert v["graph"]["n"] == v["n"] and "optimum" in v["report"]
 
 
+@pytest.mark.parametrize("max_n", ["2", "1"])
+def test_explore_random_max_n_below_3_exit_1(max_n):
+    proc = run_cli("explore-conjecture", "conj1", "--random-max-n", max_n)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_verify_cap_below_claim_size_exit_1():
+    proc = run_cli("verify", "--claim", "gst_confusion", "--max-n", "15")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: exact_confusion capped at n <= 15, got 18\n"
+
+
 def test_dot_output_marks_signs_and_confusion():
     dot = run_cli("generate", "gn", "6", "--format", "dot").stdout
     assert "graph" in dot and "style=dashed" in dot

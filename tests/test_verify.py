@@ -76,6 +76,21 @@ def test_verify_claim_unknown():
         verify_claim("tree_zero", params={"bogus_kw": 1})
 
 
+@pytest.mark.parametrize("claim_id", ["gst_confusion", "relaxed_families"])
+@pytest.mark.parametrize("t", [4, 20])
+def test_layered_ring_claims_past_default_cap(claim_id, t):
+    # gst(4,4) already has n = 16 > 15: each solve raises only max_n.
+    # At t = 20 this is the paper's headline: 3t - 4 = 56 of the 100
+    # actors of gst(5,20) are confused under every ID and every rID strategy.
+    res = verify_claim(claim_id, {"t": t})
+    assert res.status == "pass" and f"t={t}" in res.instance
+
+
+def test_layered_ring_claims_keep_caller_node_limit():
+    # gst(5,20) takes n + 1 = 101 nodes, past a 50-node budget
+    assert verify_claim("gst_confusion", {"t": 20}, Budget(nodes=50)).status == "skipped"
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_burning_matches_sqrt_ceiling(n):
     want = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
@@ -144,3 +159,10 @@ def test_random_instances_deterministic():
     assert [lab for lab, _ in a] == [lab for lab, _ in b]
     assert all(ga == gb for (_, ga), (_, gb) in zip(a, b))
     assert {g.n for _, g in a} <= set(range(3, 7))
+
+
+@pytest.mark.parametrize("max_n", [2, 1, 0])
+def test_random_instances_need_three_vertices(max_n):
+    # every random instance has n >= 3, so a smaller cap cannot be met
+    with pytest.raises(InputError):
+        random_instances(count=4, max_n=max_n)
