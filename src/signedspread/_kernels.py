@@ -1,6 +1,16 @@
 """Numerical kernels: the broadcast round and the switching scan.
 
-One broadcast round and child expansion run on a CSR adjacency in numpy.
+The broadcast round runs in numpy on a CSR adjacency. A state's hearing
+(what its informed vertices send) takes one pass over the CSR entries,
+O(n + m). step places one value on top of it: the no-placement round
+ORed with the placed vertex's own CSR row, O(n + deg v). expand makes
+every child of a state in one gather from a placement table,
+rows[v, i, w] = the hearing bit w gets when v holds A (i = 0) or -A
+(i = 1). The table takes 2n^2 int8 bytes, at most twice the n x n
+children a root expansion allocates anyway, and StepContext builds it
+on its first expand only, so a context that only steps (run, simulate,
+the greedy policies) keeps O(n + m) memory at any n.
+
 The switching scan behind the frustration index exists twice, compiled
 with numba and in pure numpy. The numpy scan builds the negative-edge
 count of all 2^(n-1) switchings in one table by doubling, one vertex at
@@ -62,7 +72,7 @@ def resolve_backend(override: str | None = None) -> str:
 
 # ---------------------------------------------------------------------------
 # broadcast round on a CSR adjacency: row w of (indptr, nbrs, sgn) lists the
-# neighbors of w and the edge signs; rows[e] is the vertex owning entry e
+# neighbors of w and the edge signs; owner[e] is the vertex owning entry e
 
 # value a label transmits: A +1, -A -1, Zero and C nothing
 _SIGNAL = np.array([0, 1, -1, 0], dtype=np.int8)
@@ -72,7 +82,7 @@ _HEARS = np.array([0, INFO_A, INFO_NEG_A], dtype=np.int8)
 
 
 def csr_adjacency(n, edges):
-    """(indptr, nbrs, sgn, rows) of an undirected (u, v, sign) edge list."""
+    """(indptr, nbrs, sgn, owner) of an undirected (u, v, sign) edge list."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     src = np.concatenate((e[:, 0], e[:, 1]))
     order = np.argsort(src, kind="stable")
@@ -86,43 +96,80 @@ def csr_adjacency(n, edges):
 def hearing(csr, labels):
     """Per-vertex hearing bits of what labels sends (1: hears A, 2: hears
     -A, 3: both), for every vertex whatever its own label."""
-    _, nbrs, sgn, rows = csr
+    _, nbrs, sgn, owner = csr
     sig = _SIGNAL[labels][nbrs] * sgn
     heard = np.zeros(labels.shape[0], dtype=np.int8)
-    heard[rows[sig > 0]] = INFO_A
-    heard[rows[sig < 0]] |= INFO_NEG_A
+    heard[owner[sig > 0]] = INFO_A
+    heard[owner[sig < 0]] |= INFO_NEG_A
     return heard
 
 
-def place_and_round(csr, labels, verts, infos):
-    """Children of `labels`, row i placing infos[i] on Zero vertex verts[i].
+def settle(csr, labels):
+    """(Zero mask, labels after a round with no placement): each Zero
+    vertex takes its hearing bits, the others keep their labels."""
+    zero = labels == ZERO
+    heard = hearing(csr, labels)
+    heard *= zero
+    return zero, heard | labels
 
-    A Zero vertex's hearing is a bit set (1: hears A, 2: hears -A) whose
-    value is its new label code. Placing on v only adds v's own row of
-    signals to what the current state sends, so the hearing of the
-    current state is computed once and each row ORs in its vertex's row.
-    Costs O(n + m) plus O(n + deg v) per row; rows keep labels' dtype.
+
+def step(csr, labels, v, info):
+    """labels after placing info on Zero vertex v and one round.
+
+    Placing on v only adds v's own row of signals to what the current
+    state sends, so the no-placement round is ORed with the bits of the
+    CSR slice indptr[v]:indptr[v+1] on its Zero neighbors: O(n + deg v).
     """
     indptr, nbrs, sgn, _ = csr
-    heard = hearing(csr, labels)
-    zero = labels == ZERO
-    base = labels.copy()
-    base[zero] = heard[zero]
+    zero, out = settle(csr, labels)
+    lo, hi = indptr[v], indptr[v + 1]
+    w = nbrs[lo:hi]
+    # the graph is simple, so no neighbor repeats and the fancy |= loses no bit
+    out[w] |= _HEARS[sgn[lo:hi] * _SIGNAL[info]] * zero[w]
+    out[v] = info
+    return out
 
-    k = len(verts)
-    lo = indptr[verts]
-    deg = indptr[verts + 1] - lo
-    # CSR entries of each candidate's row, concatenated, and their output row
-    row = np.repeat(np.arange(k), deg)
-    ent = np.arange(row.shape[0]) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
-    w = nbrs[ent]
-    # only Zero neighbors listen; the bit is 0 for the others. The graph is
-    # simple, so no (row, w) pair repeats and the fancy |= loses no bit.
-    bits = _HEARS[sgn[ent] * _SIGNAL[infos][row]] * zero[w]
-    children = np.repeat(base[None], k, axis=0)
-    children[row, w] |= bits
-    children[np.arange(k), verts] = infos
-    return children
+
+def placement_table(csr, n):
+    """(rows, moves) for gathering every child of a state at once.
+
+    rows[v, i, w] is the hearing bit w gets when v holds A (i = 0) or -A
+    (i = 1), and 0 when w is not a neighbor of v: 2n^2 int8 bytes.
+    moves[v, i] is the placement (v, A) or (v, -A) of that row.
+    """
+    _, nbrs, sgn, owner = csr
+    rows = np.zeros((n, 2, n), dtype=np.int8)
+    rows[owner, 0, nbrs] = _HEARS[sgn]
+    rows[owner, 1, nbrs] = _HEARS[-sgn]
+    moves = np.empty((n, 2, 2), dtype=np.int64)
+    moves[:, :, 0] = np.arange(n)[:, None]
+    moves[:, :, 1] = (INFO_A, INFO_NEG_A)
+    return rows, moves
+
+
+def expand(csr, table, labels, allow_neg):
+    """(children, moves, ccounts) of every placement on a Zero vertex of
+    labels, ordered by vertex, A before -A; ccounts[i] counts the
+    confused vertices of child i.
+
+    Each child is its placement's table row, masked to the Zero vertices
+    and ORed with the no-placement round, with the placed vertex set to
+    its value.
+    """
+    rows, moves = table
+    n = labels.shape[0]
+    zero, base = settle(csr, labels)
+    zeros = np.flatnonzero(zero)
+    if allow_neg:
+        children = rows[zeros].reshape(2 * len(zeros), n)
+        moves = moves[zeros].reshape(2 * len(zeros), 2)
+    else:
+        children, moves = rows[zeros, 0], moves[zeros, 0]
+    children *= zero
+    children |= base
+    children[np.arange(len(moves)), moves[:, 0]] = moves[:, 1]
+    ccounts = (children == CONFUSED).sum(axis=1, dtype=np.int64)
+    return children, moves, ccounts
 
 
 # ---------------------------------------------------------------------------

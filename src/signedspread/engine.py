@@ -74,7 +74,14 @@ class Strategy:
 
 
 class StepContext:
-    """Per-graph CSR adjacency for the broadcast-round kernel."""
+    """Per-graph CSR adjacency for the broadcast round, and the placement
+    table that child expansion gathers from.
+
+    step and hearing read the CSR only: O(n + m) memory for any graph.
+    expand builds the 2n^2-byte table (see _kernels.placement_table) on
+    its first call, at most twice the n x n children a root expansion
+    allocates anyway; run, simulate and the greedy policies never build it.
+    """
 
     # the round runs in numpy; numba serves only the frustration scan
     backend = "numpy"
@@ -82,14 +89,13 @@ class StepContext:
     def __init__(self, g: SignedGraph):
         self.graph = g
         self._csr = _kernels.csr_adjacency(g.n, g.edges)
+        self._table = None
 
     def zeros_state(self) -> np.ndarray:
         return np.zeros(self.graph.n, dtype=np.int8)
 
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
-        return _kernels.place_and_round(
-            self._csr, labels, np.array([vertex]), np.array([info])
-        )[0]
+        return _kernels.step(self._csr, labels, vertex, info)
 
     def hearing(self, labels: np.ndarray) -> np.ndarray:
         """Per-vertex hearing bits (1: hears A, 2: hears -A, 3: both) of
@@ -103,17 +109,11 @@ class StepContext:
         (children, moves, ccounts) where ccounts[i] is the confused-vertex
         count of child i.
         """
-        zeros = np.flatnonzero(labels == _kernels.ZERO)
-        infos = (_kernels.INFO_A, _kernels.INFO_NEG_A) if allow_neg else (_kernels.INFO_A,)
-        moves = np.empty((len(zeros), len(infos), 2), dtype=np.int64)
-        moves[:, :, 0] = zeros[:, None]
-        moves[:, :, 1] = infos
-        moves = moves.reshape(-1, 2)
-        children = _kernels.place_and_round(
-            self._csr, labels.astype(np.int8, copy=False), moves[:, 0], moves[:, 1]
+        if self._table is None:
+            self._table = _kernels.placement_table(self._csr, self.graph.n)
+        return _kernels.expand(
+            self._csr, self._table, labels.astype(np.int8, copy=False), allow_neg
         )
-        ccounts = (children == _kernels.CONFUSED).sum(axis=1, dtype=np.int64)
-        return children, moves, ccounts
 
 
 @dataclass(eq=False)

@@ -120,13 +120,12 @@ class SignedGraph:
         if self.n <= 1:
             return True
         seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u):
+        stack = [0]
+        while stack:
+            for w, _ in self._adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    stack.append(w)
         return len(seen) == self.n
 
 
@@ -324,13 +323,11 @@ def _smallest_witness_mask(shift_u, shift_v, eneg, masks) -> int:
     has the lexicographically largest negative-edge indicator row. Edge
     by edge, keep the masks that make the edge negative whenever any do.
     """
-    masks = np.asarray(masks, dtype=np.uint64)
-    one = np.uint64(1)
-    for su, sv, neg in zip(shift_u, shift_v, eneg):
+    # masks are int64 below 2^27, so a shift by 63 reads vertex 0 as 0
+    for su, sv, neg in zip(shift_u.tolist(), shift_v.tolist(), eneg.tolist()):
         if len(masks) == 1:
             break
-        flip = ((masks >> np.uint64(su)) ^ (masks >> np.uint64(sv))) & one
-        negative = flip != np.uint64(neg)
+        negative = ((masks >> su) ^ (masks >> sv)) & 1 != neg
         if negative.any():
             masks = masks[negative]
     return int(masks[0])
@@ -372,7 +369,9 @@ def frustration_index(
     best = int(best)
     if best == 0:
         return 0, frozenset()
-    mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
+    mask = int(masks[0])
+    if len(masks) > 1:
+        mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
     return best, frozenset(_negatives_after_switch(g, mask))
 
 

@@ -687,6 +687,8 @@ class ExploreReport:
 
 def family_instances(max_n: int = 12):
     """Every family instance of order at most max_n, labeled."""
+    if max_n < 3:
+        raise InputError(f"family instances need max_n >= 3, got {max_n}")
     out = []
     for n in range(6, max_n + 1, 2):
         out.append((FamilySpec.make("gn", n=n), gen_gn(n)))
@@ -731,6 +733,8 @@ def family_instances(max_n: int = 12):
 def random_instances(count: int = 100, max_n: int = 8, seed: int = 7):
     if max_n < 3:
         raise InputError(f"random instances need max_n >= 3, got {max_n}")
+    if count < 0:
+        raise InputError(f"random instance count must be >= 0, got {count}")
     out = []
     for i in range(count):
         n = 3 + (i % (max_n - 2))  # 3..max_n

@@ -202,6 +202,19 @@ def test_explore_random_max_n_below_3_exit_1(max_n):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--random", "-3"), "error: random instance count must be >= 0, got -3\n"),
+        (("--max-n", "2"), "error: family instances need max_n >= 3, got 2\n"),
+    ],
+)
+def test_explore_empty_corpus_exit_1(flags, message):
+    proc = run_cli("explore-conjecture", "conj1", *flags)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == message
+
+
 def test_verify_cap_below_claim_size_exit_1():
     proc = run_cli("verify", "--claim", "gst_confusion", "--max-n", "15")
     assert proc.returncode == 1 and proc.stdout == ""

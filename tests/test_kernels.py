@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from signedspread import _kernels
-from signedspread.engine import Label, StepContext, pending_signals
-from signedspread.families import gen_ktt_tau, gen_path, gen_random_connected
+from signedspread.engine import (
+    MODE_ID,
+    Label,
+    Placement,
+    StepContext,
+    Strategy,
+    pending_signals,
+    run,
+)
+from signedspread.families import gen_cycle, gen_ktt_tau, gen_path, gen_random_connected
 from signedspread.graph import SignedGraph, _edge_shift_arrays, frustration_index
 from signedspread.solver import exact_confusion, exact_relaxed_confusion
 
@@ -124,6 +134,54 @@ def test_large_sparse_path_matches_reference():
             for allow_neg in (False, True):
                 assert_expand_matches_reference(ctx, labels, allow_neg)
     assert not (labels == int(Label.ZERO)).any()
+
+
+@pytest.mark.parametrize("g", [gen_random_connected(3, 7), gen_path(5)])
+def test_expand_on_complete_state(g):
+    # no Zero vertex: no child, in the same dtypes as any other expansion
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    for v in range(g.n):
+        if labels[v] == int(Label.ZERO):
+            labels = ctx.step(labels, v, int(Label.NEG_A))
+    assert not (labels == int(Label.ZERO)).any()
+    for allow_neg in (False, True):
+        children, moves, ccounts = ctx.expand(labels, allow_neg)
+        assert (children.shape, children.dtype) == ((0, g.n), np.int8)
+        assert (moves.shape, moves.dtype) == ((0, 2), np.int64)
+        assert (ccounts.shape, ccounts.dtype) == ((0,), np.int64)
+        assert_expand_matches_reference(ctx, labels, allow_neg)
+
+
+@pytest.mark.parametrize("signs", [None, [1, -1, -1] * 4])
+def test_expand_matches_reference_on_mixed_states(signs):
+    # A at 0, then -A at 3: vertex 2 hears both values and is confused,
+    # and vertices 5..9 stay Zero, so the state holds C, A, -A and Zero
+    g = gen_cycle(12, signs)
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    for v, info in ((0, 1), (3, 2)):
+        labels = ctx.step(labels, v, info)
+    assert set(labels.tolist()) == {0, 1, 2, 3}
+    for allow_neg in (False, True):
+        assert_expand_matches_reference(ctx, labels, allow_neg)
+
+
+def test_run_never_builds_placement_table():
+    # the table takes 2n^2 bytes (32 MB here); stepping needs only the CSR
+    g = gen_path(4000)
+    ctx = StepContext(g)
+    strategy = Strategy(MODE_ID, [Placement(v, Label.A) for v in range(0, g.n, 3)])
+    tracemalloc.start()
+    try:
+        trace = run(g, strategy, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.complete
+    assert ctx._table is None
+    # the trace itself keeps 1,334 snapshots of n bytes, about 5.3 MB
+    assert peak < 2 * g.n * g.n // 4
 
 
 def relabel(g, perm):

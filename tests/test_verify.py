@@ -166,3 +166,18 @@ def test_random_instances_need_three_vertices(max_n):
     # every random instance has n >= 3, so a smaller cap cannot be met
     with pytest.raises(InputError):
         random_instances(count=4, max_n=max_n)
+
+
+@pytest.mark.parametrize("count", [-1, -3])
+def test_random_instances_reject_negative_count(count):
+    with pytest.raises(InputError, match="count"):
+        random_instances(count=count, max_n=8)
+    assert random_instances(count=0, max_n=8) == []
+
+
+@pytest.mark.parametrize("max_n", [2, 1, 0, -4])
+def test_family_instances_need_three_vertices(max_n):
+    # the smallest family instances (cycle(3), path(3)) have n = 3
+    with pytest.raises(InputError, match="family instances"):
+        family_instances(max_n)
+    assert family_instances(3)
