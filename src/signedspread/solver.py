@@ -1,49 +1,53 @@
 """Exact solvers and oracles for confusion numbers and step counts.
 
-The branching solvers run a depth-first search over label states,
-branching on every Zero vertex (and both placement values in relaxed
-mode, except the first placement, which is pinned to A by the global
-negation symmetry). Children are explored in lexicographic (vertex,
-value) order; a child whose already-incurred confusion cannot beat the
-best completed total at its state is skipped, and search under a state
-stops once a zero-confusion completion is found. Both prunes keep every
-computed value exact.
+Every exact solver runs one threshold search over label states:
+depth-first iterative deepening (Korf 1985) with a table of bounds
+(Reinefeld and Marsland 1994). It branches on every Zero vertex (and
+both placement values in relaxed mode, except the first placement,
+which is pinned to A by the global negation symmetry), children in
+lexicographic (vertex, value) order. A placement costs the confusion it
+adds; min_steps passes its step bound, and then a placement costs one
+step instead.
 
-The memo holds exact future-confusion values only, keyed on states up
-to symmetry. The process commutes with the graph's signed automorphisms
-(vertex permutations that keep every edge and its sign), and in relaxed
-mode with the global negation A <-> -A, so all states of one orbit share
-a value. Once a search has charged 2n nodes it finds the group from the
-graph (symmetry.automorphisms) and from then on keys a state by its
+_within(state, c) asks whether the state can complete at cost at most
+c. It skips a child that costs more than c on its own and stops at the
+first child that fits in what is left. The memo holds two proven bounds
+per key: _fit, the cost of some completion, set when a call succeeds,
+and _need, a lower bound on every completion. A call that fails stores
+the least total its children showed, which exceeds c (fail-soft), and
+the root loop raises c straight to that bound until a call succeeds, so
+the first c that fits is the optimum.
+
+Keys are states up to symmetry. The process commutes with the graph's
+signed automorphisms (vertex permutations that keep every edge and its
+sign), and in relaxed mode with the global negation A <-> -A, so all
+states of one orbit share their least cost. Once a search has charged 2n
+nodes it finds the group from the graph (symmetry.automorphisms), rekeys
+the entries it has on their orbits, and from then on keys a state by its
 orbit representative, the lexicographically smallest image of the state
 over the group (and its negated images in relaxed mode). A smaller
-search never pays for finding the group. Entries keyed before that stay
-valid, since every key is the bytes of a state of the same orbit.
+search never pays for finding the group.
 
-The witness is read off the values afterwards: from the root, take the
-first child in lexicographic order whose added confusion plus value
-equals the state's value. This is the lexicographically smallest
-optimal placement sequence, the one a search without orbit keys settles
-on. At a state the search expanded, that child was never pruned, so its
-value is in the memo. A state whose value came from an orbit-mate was
-not expanded itself, and the walk may have to solve one of its
-children; such solves add to the node count but are not held to the
-budget, since the optimum is already proven. A solve whose budget runs
-out reports the rescue_priority strategy instead, marked not optimal.
+The witness walk goes from the root and takes the first child in
+lexicographic order that completes within what is left of the optimum.
+This is the lexicographically smallest optimal placement sequence, the
+one a search without orbit keys or thresholds settles on. The memo
+answers most of the walk's questions; a child it cannot answer is
+searched, and such searches add to the node count but are not held to
+the budget, since the optimum is already proven. A solve whose budget
+runs out reports the rescue_priority strategy instead, marked not
+optimal.
 
-min_steps deepens the step budget one step at a time, memoized on
-(state, steps left), and prunes with a ball-counting step bound (the
-covering argument behind the burning number): with k steps left, the
-Zero vertices farther than k from every transmitter must fit in the
-balls of radii k, ..., 1 around the k new placements, so a state where
-they outnumber the sum of the largest ball sizes is answered infeasible
-before it costs a node. Confusion only slows spreading, so the bound
-cuts only states that cannot complete in k steps: every answer, and so
-the lexicographically smallest witness, is that of the unpruned search.
+min_steps also prunes with _StepBound, a ball-counting bound (the
+covering argument behind the burning number): a state it rules out at
+threshold k gets _need k + 1 without costing a node. Confusion only
+slows spreading, so it cuts only states that cannot complete in k
+steps, and every answer, and so the witness, is the unpruned search's.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -188,37 +192,72 @@ class _OrbitKey:
         return sides[side[:, None], np.arange(k)[:, None], self._perms[row]]
 
 
+class _StepBound:
+    """Ball-counting test that a state cannot complete in k more steps.
+
+    The j-th of k placements informs at most the ball of radius
+    k - j + 1 around it, and a current transmitter (A or -A) at most its
+    ball of radius k: confused vertices only block spreading, so graph
+    distance over-approximates reach. The Zero vertices farther than k
+    from every transmitter must therefore fit in k new balls, at most
+    cover[k] = sum of max_v |B(v, r)| over r = 1..k vertices.
+    """
+
+    def __init__(self, g: SignedGraph):
+        n = g.n
+        self._dist = distance_table(g)
+        # hist[v, d]: vertices at distance d from v (d = n: unreachable)
+        hist = np.bincount(
+            (np.arange(n)[:, None] * (n + 1) + self._dist).ravel(), minlength=n * (n + 1)
+        ).reshape(n, n + 1)
+        max_ball = hist.cumsum(axis=1).max(axis=0, initial=0)
+        self._cover = np.concatenate(([0], np.cumsum(max_ball[1:])))
+
+    def cuts(self, labels: np.ndarray, k: int) -> bool:
+        zero = labels == _ZERO
+        if k == 0:  # no placement left: cut unless already complete
+            return bool(zero.any())
+        if np.count_nonzero(zero) <= self._cover[k]:
+            return False
+        sends = (labels == _A) | (labels == _NEG_A)
+        if sends.any():
+            zero &= self._dist[sends].min(axis=0) > k
+        return np.count_nonzero(zero) > self._cover[k]
+
+
 @dataclass(eq=False)
 class _Node:
     """An expanded state: its children in lexicographic order, their
-    moves, the confusion each adds, which are complete, and their orbit
-    representatives once some child needs them."""
+    moves, what each placement costs, which children are complete, and
+    their orbit representatives once some child needs them."""
 
     children: np.ndarray
     moves: np.ndarray
-    added: np.ndarray
-    done: np.ndarray
+    costs: list
+    done: list
     reps: np.ndarray | None = None
 
 
 class _Search:
-    """Exact future confusion of label states, by memoized depth-first
-    search.
+    """Least cost to complete a label state, by threshold search.
 
-    The memo holds values only. A key is the bytes of a state: the state
-    itself until the orbit key is known, its orbit representative after.
-    Either way the key is the bytes of a state of the same orbit, so the
-    two kinds of entry share one dict soundly.
+    A placement costs the confusion it adds, or one step when a step
+    bound is given. A memo key is the bytes of a state: the state itself
+    until the orbit key is known, its orbit representative after. A call
+    under way when detection rekeys the memo still stores its own
+    state's bytes; that is sound, as every key is a state of its orbit.
     """
 
     def __init__(self, ctx: StepContext, allow_neg: bool, limits: _Limits,
-                 orbit_key: _OrbitKey | None = None):
+                 orbit_key: _OrbitKey | None = None, bound: _StepBound | None = None):
         self._ctx = ctx
         self._allow_neg = allow_neg
         self._limits = limits
-        self._memo = {}
+        self._need = {}
+        self._fit = {}
         self._orbit_key = orbit_key
-        self._root = None  # the root's expansion, which the witness walk starts from
+        self._bound = bound
+        self._root = None  # the root's expansion, kept across thresholds and for the walk
         # Ski rental: finding the group costs about as much as 2n nodes,
         # so it runs only once the search has spent that many. A solve
         # that ends sooner never pays for it; one that goes on pays at
@@ -226,76 +265,108 @@ class _Search:
         self._detect_at = None if orbit_key is not None else limits.nodes_used + 2 * ctx.graph.n
 
     def _expand(self, labels: np.ndarray, at_root: bool) -> _Node:
+        if at_root and self._root is not None:
+            return self._root
         children, moves, ccounts = self._ctx.expand(labels, self._allow_neg and not at_root)
-        added = ccounts - np.count_nonzero(labels == _CONFUSED)
-        return _Node(children, moves, added, ~(children == _ZERO).any(axis=1))
+        if self._bound is None:
+            costs = (ccounts - np.count_nonzero(labels == _CONFUSED)).tolist()
+        else:
+            costs = [1] * len(ccounts)
+        node = _Node(children, moves, costs, (children != _ZERO).all(axis=1).tolist())
+        if at_root:
+            self._root = node
+        return node
 
-    def _value(self, node: _Node, i: int) -> int:
-        """Exact future confusion of child i of node."""
-        if node.done[i]:
-            return 0
-        child = node.children[i]
-        key = child.tobytes()
-        cached = self._memo.get(key)
-        if cached is None and self._orbit_key is not None:
-            if node.reps is None:
-                node.reps = self._orbit_key.representatives(node.children)
-            key = node.reps[i].tobytes()
-            cached = self._memo.get(key)
-        return self._solve(child, key) if cached is None else cached
+    def _key(self, node: _Node, i: int) -> bytes:
+        """The memo key of child i: its bytes, or once the orbit key is
+        known, its orbit representative's."""
+        if self._orbit_key is None:
+            return node.children[i].tobytes()
+        if node.reps is None:
+            node.reps = self._orbit_key.representatives(node.children)
+        return node.reps[i].tobytes()
 
-    def _solve(self, labels: np.ndarray, key: bytes, at_root: bool = False) -> int:
+    def _detect(self):
+        """Find the group, and rekey every entry on its orbit: the states
+        of one orbit share their least cost, so their bounds merge."""
+        perms = automorphisms(self._ctx.graph, self._limits.expired)
+        if perms is not None:
+            self._orbit_key = _OrbitKey(perms, self._allow_neg)
+            self._need = self._rekey(self._need, max)
+            self._fit = self._rekey(self._fit, min)
+
+    def _rekey(self, memo: dict, pick) -> dict:
+        keys = list(memo)
+        states = np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), self._ctx.graph.n)
+        merged = {}
+        for key, rep in zip(keys, self._orbit_key.representatives(states)):
+            rep = rep.tobytes()
+            merged[rep] = pick(merged.get(rep, memo[key]), memo[key])
+        return merged
+
+    def _within(self, labels: np.ndarray, key: bytes, c: int, at_root: bool = False) -> bool:
+        """Whether labels can complete at cost at most c. On return,
+        _fit[key] <= c if so and _need[key] > c if not."""
+        if self._fit.get(key, c + 1) <= c:
+            return True
+        if self._need.get(key, 0) > c:
+            return False
+        if self._bound is not None and self._bound.cuts(labels, c):
+            self._need[key] = c + 1
+            return False
         self._limits.charge()
         if self._limits.nodes_used == self._detect_at:
             self._detect_at = None
-            perms = automorphisms(self._ctx.graph, self._limits.expired)
-            if perms is not None:
-                self._orbit_key = _OrbitKey(perms, self._allow_neg)
+            self._detect()
         node = self._expand(labels, at_root)
-        if at_root:
-            self._root = node
-        best = None
-        for i in range(len(node.added)):
-            a = int(node.added[i])
-            if best is not None and a >= best:
-                continue
-            total = a + self._value(node, i)
-            if best is None or total < best:
-                best = total
-                if best == 0:
-                    break
-        self._memo[key] = best
-        return best
+        need = math.inf  # a searched state is incomplete, so it has children
+        for i, cost in enumerate(node.costs):
+            if cost > c:
+                need = min(need, cost)
+            elif node.done[i]:
+                self._fit[key] = cost
+                return True
+            else:
+                child = self._key(node, i)
+                if self._within(node.children[i], child, c - cost):
+                    self._fit[key] = cost + self._fit[child]
+                    return True
+                need = min(need, cost + self._need[child])
+        self._need[key] = need
+        return False
 
     def optimum(self, root: np.ndarray) -> int:
+        """The least cost to complete root: raise the threshold to the
+        lower bound each failed round proved, until a round fits."""
         if not (root == _ZERO).any():
             return 0
-        return self._solve(root, root.tobytes(), at_root=True)
+        key, c = root.tobytes(), 0
+        while not self._within(root, key, c, at_root=True):
+            c = self._need[key]
+        return c
 
     def witness(self, root: np.ndarray, optimum: int) -> list:
         """The lexicographically smallest optimal placements from the
         root that optimum() searched.
 
-        At each state it takes the first child whose added confusion
-        plus value equals the state's value. The search prunes a child
-        only when its added confusion alone reaches the best total found
-        before it, so at a state the search expanded, the first child
-        attaining the value was searched. A state on the walk whose value
-        came from an orbit-mate was not expanded, and its first attaining
-        child may map to one the mate pruned; the walk then solves that
-        child. Those solves are counted in the nodes but never charged
-        against the budget, so a search that proved its optimum keeps it.
+        At each state it takes the first child that completes within
+        what is left of the optimum. The memo answers most of these
+        questions; where it cannot (a bound proved at another threshold,
+        or a state whose bounds came from an orbit-mate), the walk
+        searches the child. Those searches are counted in the nodes but
+        never charged against the budget, so a search that proved its
+        optimum keeps it.
         """
         placements = []
         labels, left = root, optimum
         self._limits.enforced = False
         try:
             while (labels == _ZERO).any():
-                node = self._expand(labels, False) if placements else self._root
-                i = next(i for i in range(len(node.added))
-                         if node.added[i] <= left and node.added[i] + self._value(node, i) == left)
+                node = self._expand(labels, not placements)
+                i = next(i for i, cost in enumerate(node.costs) if cost <= left and (
+                    node.done[i] or self._within(node.children[i], self._key(node, i), left - cost)))
                 placements.append(Placement(int(node.moves[i, 0]), Label(int(node.moves[i, 1]))))
-                labels, left = node.children[i], left - int(node.added[i])
+                labels, left = node.children[i], left - node.costs[i]
         finally:
             self._limits.enforced = True
         return placements
@@ -316,17 +387,18 @@ def _fallback(g: SignedGraph, mode: str, t0: float, limits: _Limits,
     return _report(t0, limits, optimum, witness, False)
 
 
-def _branch_solve(g: SignedGraph, mode: str, budget: Budget) -> SolveReport:
+def _branch_solve(g: SignedGraph, mode: str, budget: Budget,
+                  count_steps: bool = False) -> SolveReport:
     t0 = time.perf_counter()
     ctx = StepContext(g)
     limits = _Limits(budget)
     root = ctx.zeros_state()
-    search = _Search(ctx, mode == MODE_RID, limits)
+    search = _Search(ctx, mode == MODE_RID, limits, bound=_StepBound(g) if count_steps else None)
     try:
         value = search.optimum(root)
         witness = Strategy(mode, search.witness(root, value))
     except BudgetExceeded:
-        return _fallback(g, mode, t0, limits)
+        return _fallback(g, mode, t0, limits, count_steps)
     return _report(t0, limits, value, witness, True)
 
 
@@ -396,94 +468,16 @@ def relaxed_via_class(g: SignedGraph, budget: Budget | None = None) -> SolveRepo
     return _report(t0, limits, best, best_witness, not exhausted)
 
 
-class _StepBound:
-    """Ball-counting test that a state cannot complete in k more steps.
-
-    The j-th of k placements informs at most the ball of radius
-    k - j + 1 around it, and a current transmitter (A or -A) at most its
-    ball of radius k: confused vertices only block spreading, so graph
-    distance over-approximates reach. The Zero vertices farther than k
-    from every transmitter must therefore fit in k new balls, at most
-    cover[k] = sum of max_v |B(v, r)| over r = 1..k vertices.
-    """
-
-    def __init__(self, g: SignedGraph):
-        n = g.n
-        self._dist = distance_table(g)
-        # hist[v, d]: vertices at distance d from v (d = n: unreachable)
-        hist = np.bincount(
-            (np.arange(n)[:, None] * (n + 1) + self._dist).ravel(), minlength=n * (n + 1)
-        ).reshape(n, n + 1)
-        max_ball = hist.cumsum(axis=1).max(axis=0, initial=0)
-        self._cover = np.concatenate(([0], np.cumsum(max_ball[1:])))
-
-    def cuts(self, labels: np.ndarray, k: int) -> bool:
-        zero = labels == _ZERO
-        if np.count_nonzero(zero) <= self._cover[k]:
-            return False
-        sends = (labels == _A) | (labels == _NEG_A)
-        if sends.any():
-            zero &= self._dist[sends].min(axis=0) > k
-        return np.count_nonzero(zero) > self._cover[k]
-
-
 def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None) -> SolveReport:
-    """Minimum number of steps over complete strategies, by iterative
-    deepening on the step budget (confusion is ignored). A state that
-    the ball-counting bound rules out is answered without a node."""
+    """Minimum number of steps over complete strategies (confusion is
+    ignored): the threshold search with every placement costing one step.
+    A state that the ball-counting bound rules out is answered without a
+    node."""
     if mode not in (MODE_ID, MODE_RID):
         raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
     budget = budget or Budget()
     _check_exact_pre(g, budget, EXACT_MAX_N, "min_steps")
-    t0 = time.perf_counter()
-    ctx = StepContext(g)
-    bound = _StepBound(g)
-    limits = _Limits(budget)
-    allow_neg = mode == MODE_RID
-    memo = {}
-
-    def feasible(labels, key, remaining, at_root):
-        if not (labels == _ZERO).any():
-            return True
-        if remaining == 0:
-            return False
-        mk = (key, remaining)
-        cached = memo.get(mk)
-        if cached is not None:
-            return cached
-        if bound.cuts(labels, remaining):
-            memo[mk] = False
-            return False
-        limits.charge()
-        children, _, _ = ctx.expand(labels, allow_neg and not at_root)
-        ans = False
-        for i in range(children.shape[0]):
-            child = children[i]
-            if feasible(child, child.tobytes(), remaining - 1, False):
-                ans = True
-                break
-        memo[mk] = ans
-        return ans
-
-    root = ctx.zeros_state()
-    try:
-        steps = next((t for t in range(1, g.n + 1) if feasible(root, root.tobytes(), t, True)), 0)
-        # reconstruct the lexicographically smallest shortest witness
-        placements = []
-        labels = root
-        for remaining in range(steps, 0, -1):
-            children, moves, _ = ctx.expand(labels, allow_neg and labels is not root)
-            for i in range(children.shape[0]):
-                child = children[i]
-                if feasible(child, child.tobytes(), remaining - 1, False):
-                    placements.append(Placement(int(moves[i, 0]), Label(int(moves[i, 1]))))
-                    labels = child
-                    break
-    except BudgetExceeded:
-        return _fallback(g, mode, t0, limits, count_steps=True)
-    finally:
-        del feasible  # the closure refers to itself; free it with the memo
-    return _report(t0, limits, steps, Strategy(mode, tuple(placements)), True)
+    return _branch_solve(g, mode, budget, count_steps=True)
 
 
 def brute_oracle(g: SignedGraph, mode: str = MODE_ID, max_n: int = ORACLE_MAX_N) -> int:

@@ -43,6 +43,7 @@ from .graph import (
     switch,
 )
 from .solver import (
+    EXACT_MAX_N,
     Budget,
     brute_oracle,
     exact_confusion,
@@ -198,57 +199,57 @@ def _policy(label, g, policy, bound, exact=False):
 # claims: exact family values
 
 
-def _claim_gn_balance(budget: Budget, ns=(6, 8)) -> ClaimResult:
+def _claim_gn_balance(budget: Budget) -> ClaimResult:
     checks = []
-    for n in ns:
+    for n in (6, 8):
         g = gen_gn(n)
         checks.append((f"gn(n={n}) balanced", is_balanced(g) is not None, "no partition"))
         anti = is_antibalanced(negate_signature(g)) is not None
         checks.append((f"gn(n={n}) negated antibalanced", anti, "no partition"))
     return _aggregate(
         "gn_balance",
-        f"gn(n in {list(ns)})",
+        "gn(n in [6, 8])",
         "matching signature balanced; negation antibalanced",
         checks,
         repro="signedspread generate gn 6 | signedspread balance",
     )
 
 
-def _claim_gn_confusion(budget: Budget, ns=(6, 8, 10)) -> ClaimResult:
+def _claim_gn_confusion(budget: Budget) -> ClaimResult:
     checks = []
-    for n in ns:
+    for n in (6, 8, 10):
         want = n // 2 - 2
         checks.append(_value(f"gn(n={n})", _opt(exact_confusion(gen_gn(n), budget)), want))
         got_neg = _opt(exact_confusion(_all_sign(gen_gn(n), -1), budget))
         checks.append(_value(f"gn(n={n}) all-negative", got_neg, want))
     return _aggregate(
         "gn_confusion",
-        f"gn(n in {list(ns)}) and all-negative twins",
+        "gn(n in [6, 8, 10]) and all-negative twins",
         "confusion = n/2 - 2",
         checks,
         repro="signedspread generate gn 6 | signedspread solve --exact",
     )
 
 
-def _claim_gn_confusion_zero(budget: Budget, ns=(6, 8, 10)) -> ClaimResult:
+def _claim_gn_confusion_zero(budget: Budget) -> ClaimResult:
     checks = []
-    for n in ns:
+    for n in (6, 8, 10):
         got = _opt(exact_confusion(negate_signature(gen_gn(n)), budget))
         checks.append(_value(f"gn(n={n}) negated", got, 0))
         got_pos = _opt(exact_confusion(_all_sign(gen_gn(n), 1), budget))
         checks.append(_value(f"gn(n={n}) all-positive", got_pos, 0))
     return _aggregate(
         "gn_confusion_zero",
-        f"gn(n in {list(ns)}) negated and all-positive twins",
+        "gn(n in [6, 8, 10]) negated and all-positive twins",
         "confusion = 0",
         checks,
         repro="signedspread generate gn 6 | signedspread switch --negate | signedspread solve --exact",
     )
 
 
-def _claim_balanced_bound(budget: Budget, count=8) -> ClaimResult:
+def _claim_balanced_bound(budget: Budget) -> ClaimResult:
     checks = []
-    for i in range(count):
+    for i in range(8):
         n = 4 + i % 7  # 4..10
         g = _random_balanced(100 + i, n)
         bound = n / 2 - 2
@@ -264,18 +265,16 @@ def _claim_balanced_bound(budget: Budget, count=8) -> ClaimResult:
     checks.append(_value("attained cycle(4) all-positive", got4, 0))
     return _aggregate(
         "balanced_bound",
-        f"{count} random balanced (n in 4..10) + attainment instances",
+        "8 random balanced (n in 4..10) + attainment instances",
         "balanced implies confusion <= n/2 - 2; equality at the twin-clique family",
         checks,
         repro="signedspread generate gn 8 | signedspread solve --exact",
     )
 
 
-def _claim_tree_zero(budget: Budget, count=5) -> ClaimResult:
+def _claim_tree_zero(budget: Budget) -> ClaimResult:
     checks = []
-    sizes = (5, 7, 8, 9, 10)
-    for i in range(count):
-        n = sizes[i % len(sizes)]
+    for i, n in enumerate((5, 7, 8, 9, 10)):
         g = gen_random_tree(200 + i, n)
         got = _opt(exact_confusion(g, budget))
         checks.append(_value(f"tree seed={200 + i} n={n}", got, 0))
@@ -284,7 +283,7 @@ def _claim_tree_zero(budget: Budget, count=5) -> ClaimResult:
         )
     return _aggregate(
         "tree_zero",
-        f"{count} random signed trees, n <= 10",
+        "5 random signed trees, n <= 10",
         "confusion = 0",
         checks,
         repro="signedspread generate tree 9 --seed 200 | signedspread solve --exact",
@@ -307,9 +306,9 @@ def _claim_c5_allneg(budget: Budget) -> ClaimResult:
     )
 
 
-def _claim_circuit_values(budget: Budget, ks=(3, 4, 5, 6, 7, 8)) -> ClaimResult:
+def _claim_circuit_values(budget: Budget) -> ClaimResult:
     checks = []
-    for k in ks:
+    for k in range(3, 9):
         bad = []
         for mask in range(1 << k):
             signs = [-1 if (mask >> i) & 1 else 1 for i in range(k)]
@@ -324,7 +323,7 @@ def _claim_circuit_values(budget: Budget, ks=(3, 4, 5, 6, 7, 8)) -> ClaimResult:
         checks.append((f"cycle(k={k}), {1 << k} signatures", not bad, "; ".join(bad[:3])))
     return _aggregate(
         "circuit_values",
-        f"cycles k in {list(ks)}, every signature",
+        "cycles k in [3, 4, 5, 6, 7, 8], every signature",
         "confusion = 0 except the all-negative 5-cycle (= 1); strategy matches",
         checks,
         repro="signedspread generate cycle 7 | signedspread solve --exact",
@@ -350,11 +349,11 @@ def _claim_maxdeg_zero(budget: Budget) -> ClaimResult:
     )
 
 
-def _claim_maxdeg_bound(budget: Budget, count=10) -> ClaimResult:
+def _claim_maxdeg_bound(budget: Budget) -> ClaimResult:
     checks = []
     picked = 0
     seed = 300
-    while picked < count and seed < 360:
+    while picked < 10 and seed < 360:
         n = 6 + (seed % 5)  # 6..10
         g = gen_random_connected(seed, n, 0.5, 0.5)
         seed += 1
@@ -372,22 +371,22 @@ def _claim_maxdeg_bound(budget: Budget, count=10) -> ClaimResult:
         checks.append(_value(f"attained gn(n={n})", got, n - 2 - g.max_degree()))
     return _aggregate(
         "maxdeg_bound",
-        f"{count} random connected (3 <= maxdeg < n-2, n <= 10) + twin-clique attainment",
+        "10 random connected (3 <= maxdeg < n-2, n <= 10) + twin-clique attainment",
         "confusion <= n - 2 - maxdeg, tight on the twin-clique family",
         checks,
         repro="signedspread generate random 8 --seed 300 | signedspread solve --exact",
     )
 
 
-def _claim_maxdeg_ratio(budget: Budget, count=8) -> ClaimResult:
+def _claim_maxdeg_ratio(budget: Budget) -> ClaimResult:
     checks = []
-    for label, g in _corpus(count, 500, 6, 10, min_maxdeg=3):
+    for label, g in _corpus(8, 500, 6, 10, min_maxdeg=3):
         bound = (1.0 - 2.0 / g.max_degree()) * g.n
         checks.append(_at_most(label, _opt(exact_confusion(g, budget)), bound))
         checks.append(_policy(f"rescue policy {label}", g, rescue_priority, bound))
     return _aggregate(
         "maxdeg_ratio",
-        f"{count} random connected graphs, maxdeg >= 3, n <= 10",
+        "8 random connected graphs, maxdeg >= 3, n <= 10",
         "confusion and rescue-policy trace <= (1 - 2/maxdeg) * n",
         checks,
         repro="signedspread generate random 9 --seed 500 | signedspread solve --greedy rescue_priority",
@@ -411,14 +410,14 @@ def _claim_gst_confusion(budget: Budget, t=3) -> ClaimResult:
     )
 
 
-def _claim_ktt_confusion(budget: Budget, ts=(3, 4, 5)) -> ClaimResult:
+def _claim_ktt_confusion(budget: Budget) -> ClaimResult:
     checks = [
         _value(f"ktt(t={t})", _opt(exact_confusion(gen_ktt_tau(t), budget)), t - 2)
-        for t in ts
+        for t in (3, 4, 5)
     ]
     return _aggregate(
         "ktt_confusion",
-        f"matched bipartite family, t in {list(ts)}",
+        "matched bipartite family, t in [3, 4, 5]",
         "confusion = t - 2",
         checks,
         repro="signedspread generate ktt 4 | signedspread solve --exact",
@@ -429,9 +428,9 @@ def _claim_ktt_confusion(budget: Budget, ts=(3, 4, 5)) -> ClaimResult:
 # claims: relaxed mode
 
 
-def _claim_relaxed_switch_invariance(budget: Budget, count=6) -> ClaimResult:
+def _claim_relaxed_switch_invariance(budget: Budget) -> ClaimResult:
     checks = []
-    for idx, (label, g) in enumerate(_corpus(count, 400, 5, 8)):
+    for idx, (label, g) in enumerate(_corpus(6, 400, 5, 8)):
         base = _opt(exact_relaxed_confusion(g, budget))
         rng = _nprandom.default_rng(4000 + idx)
         check = (label, True, "")
@@ -444,30 +443,30 @@ def _claim_relaxed_switch_invariance(budget: Budget, count=6) -> ClaimResult:
         checks.append(check)
     return _aggregate(
         "relaxed_switch_invariance",
-        f"{count} random graphs x 5 random switchings, n <= 8",
+        "6 random graphs x 5 random switchings, n <= 8",
         "relaxed confusion invariant under switching",
         checks,
         repro="signedspread generate random 7 --seed 400 | signedspread solve --relaxed",
     )
 
 
-def _claim_relaxed_class_min(budget: Budget, count=6) -> ClaimResult:
+def _claim_relaxed_class_min(budget: Budget) -> ClaimResult:
     checks = []
-    for label, g in _corpus(count, 420, 5, 8):
+    for label, g in _corpus(6, 420, 5, 8):
         direct = _opt(exact_relaxed_confusion(g, budget))
         checks.append(_value(label, _opt(relaxed_via_class(g, budget)), direct))
     return _aggregate(
         "relaxed_class_min",
-        f"{count} random connected graphs, n <= 8",
+        "6 random connected graphs, n <= 8",
         "relaxed optimum = min confusion over the switching class",
         checks,
         repro="signedspread generate random 7 --seed 420 | signedspread solve --via-class",
     )
 
 
-def _claim_relaxed_negation(budget: Budget, count=6) -> ClaimResult:
+def _claim_relaxed_negation(budget: Budget) -> ClaimResult:
     checks = []
-    for label, g in _corpus(count, 440, 5, 8):
+    for label, g in _corpus(6, 440, 5, 8):
         rep = exact_relaxed_confusion(g, budget)
         a = _opt(rep)
         b = _opt(exact_relaxed_confusion(negate_signature(g), budget))
@@ -485,16 +484,16 @@ def _claim_relaxed_negation(budget: Budget, count=6) -> ClaimResult:
         checks.append((label, ok, "mirror replay mismatch"))
     return _aggregate(
         "relaxed_negation",
-        f"{count} random connected graphs, n <= 8",
+        "6 random connected graphs, n <= 8",
         "relaxed confusion equal under signature negation; mirrored witness replays",
         checks,
         repro="signedspread generate random 7 --seed 440 | signedspread solve --relaxed",
     )
 
 
-def _claim_relaxed_balanced_zero(budget: Budget, count=10) -> ClaimResult:
+def _claim_relaxed_balanced_zero(budget: Budget) -> ClaimResult:
     checks = []
-    for i in range(count):
+    for i in range(10):
         n = 5 + (i % 6)  # 5..10
         g = _random_balanced(600 + i, n)
         got = _opt(exact_relaxed_confusion(g, budget))
@@ -503,7 +502,7 @@ def _claim_relaxed_balanced_zero(budget: Budget, count=10) -> ClaimResult:
         checks.append(_value(f"antibalanced seed={600 + i} n={n}", got_a, 0))
     return _aggregate(
         "relaxed_balanced_zero",
-        f"{count} random balanced + {count} antibalanced graphs, n <= 10",
+        "10 random balanced + 10 antibalanced graphs, n <= 10",
         "relaxed confusion = 0",
         checks,
         repro="signedspread generate gn 8 | signedspread solve --relaxed",
@@ -559,9 +558,10 @@ def _claim_relaxed_families(budget: Budget, t=3) -> ClaimResult:
     )
 
 
-def _claim_frustration_family(budget: Budget, ts=(3, 4, 5, 6)) -> ClaimResult:
+def _claim_frustration_family(budget: Budget) -> ClaimResult:
     checks = []
     ratios = []
+    ts = (3, 4, 5, 6)
     for t in ts:
         g = gen_ktt_tau(t)
         ell, _ = frustration_index(g)
@@ -578,7 +578,7 @@ def _claim_frustration_family(budget: Budget, ts=(3, 4, 5, 6)) -> ClaimResult:
     checks.append(("deletion oracle ktt(t=3)", oracle[0] == 3, f"oracle {oracle[0]}"))
     return _aggregate(
         "frustration_family",
-        f"matched bipartite family, t in {list(ts)}",
+        "matched bipartite family, t in [3, 4, 5, 6]",
         "frustration = t; relaxed/frustration = (t-2)/t, strictly increasing",
         checks,
         repro="signedspread generate ktt 4 | signedspread frustration",
@@ -627,10 +627,10 @@ def burning_number_brute(g: SignedGraph, max_n: int = 18) -> int:
     return n
 
 
-def _claim_burning_relation(budget: Budget, n_lo=4, n_hi=16) -> ClaimResult:
-    cap = _cap(budget, max(n_hi, 16))
+def _claim_burning_relation(budget: Budget) -> ClaimResult:
+    cap = _cap(budget, 16)
     solved = []  # (label, graph, min_steps report)
-    for n in range(n_lo, n_hi + 1):
+    for n in range(4, 17):
         for name, g in (("path", gen_path(n)), ("cycle", gen_cycle(n))):
             k = min_steps(g, MODE_ID, cap)
             if not k.optimal:
@@ -647,7 +647,7 @@ def _claim_burning_relation(budget: Budget, n_lo=4, n_hi=16) -> ClaimResult:
         )
     return _aggregate(
         "burning_relation",
-        f"all-positive paths and cycles, n in {n_lo}..{n_hi}",
+        "all-positive paths and cycles, n in 4..16",
         "minimum step count within {burning - 1, burning}",
         checks,
         repro="signedspread generate path 9 | signedspread solve --min-steps",
@@ -771,7 +771,7 @@ def explore_conjecture(
         graphs = family_instances(max_n) + random_instances(random_count, random_max_n, seed)
     report = ExploreReport(which=which)
     for label, g in graphs:
-        cap = min(g.n, 15)
+        cap = min(g.n, EXACT_MAX_N)
         try:
             if which == "conj1":
                 rep = exact_confusion(g, _cap(budget, cap))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread.engine import MODE_ID, MODE_RID, Label, Placement, StepContext, Strategy, run
+from signedspread.engine import MODE_ID, MODE_RID, Label, StepContext, Strategy, run
 from signedspread.errors import CapacityError, InputError
 from signedspread.families import (
     gen_cycle,
@@ -26,6 +26,8 @@ from signedspread.solver import (
     relaxed_via_class,
 )
 from signedspread.strategies import rescue_priority
+
+from plain_search import PlainSteps, plain_min_steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,46 +186,6 @@ def test_min_steps_never_below_flood_radius():
             assert not run(g, prefix).complete
 
 
-def _completes_within(ctx, labels, k, allow_neg, memo):
-    """Whether some k or fewer placements complete `labels`, by plain
-    exhaustive search with no bound."""
-    if not (labels == int(Label.ZERO)).any():
-        return True
-    if k == 0:
-        return False
-    key = (labels.tobytes(), k)
-    if key not in memo:
-        children, _, _ = ctx.expand(labels, allow_neg)
-        memo[key] = any(_completes_within(ctx, c, k - 1, allow_neg, memo) for c in children)
-    return memo[key]
-
-
-def reference_min_steps(g, mode):
-    """Iterative deepening with no step bound: the fewest steps and the
-    lexicographically first placement sequence attaining them."""
-    ctx = StepContext(g)
-    allow_neg = mode == MODE_RID
-    memo = {}
-
-    def feasible(labels, k, first):
-        # the first placement is pinned to A, as in min_steps
-        if first and (labels == int(Label.ZERO)).any() and k > 0:
-            children, _, _ = ctx.expand(labels, False)
-            return any(_completes_within(ctx, c, k - 1, allow_neg, memo) for c in children)
-        return _completes_within(ctx, labels, k, allow_neg, memo)
-
-    labels = ctx.zeros_state()
-    steps = next(t for t in range(g.n + 1) if feasible(labels, t, True))
-    placements = []
-    for k in range(steps, 0, -1):
-        children, moves, _ = ctx.expand(labels, allow_neg and bool(placements))
-        i = next(i for i, c in enumerate(children)
-                 if _completes_within(ctx, c, k - 1, allow_neg, memo))
-        placements.append(Placement(int(moves[i, 0]), Label(int(moves[i, 1]))))
-        labels = children[i]
-    return steps, tuple(placements)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5000), st.integers(3, 8), st.lists(st.integers(0, 63), max_size=4),
        st.booleans())
@@ -238,10 +200,10 @@ def test_step_bound_cuts_only_infeasible_states(seed, n, picks, allow_neg):
         info = Label.NEG_A if allow_neg and pick % 2 else Label.A
         labels = ctx.step(labels, int(zeros[pick % len(zeros)]), int(info))
     bound = _StepBound(g)
-    memo = {}
+    plain = PlainSteps(g, MODE_RID)  # relaxed placements: a superset of ID's
     for k in range(n + 1):
         if bound.cuts(labels, k):
-            assert not _completes_within(ctx, labels, k, True, memo)
+            assert not plain.feasible(labels, k)
 
 
 def test_step_bound_cuts_long_paths():
@@ -258,6 +220,10 @@ def test_step_bound_cuts_long_paths():
     assert not _StepBound(gen_path(12)).cuts(state, 2)
 
 
+def witness_moves(report):
+    return [(p.vertex, int(p.info)) for p in report.witness.placements]
+
+
 @pytest.mark.parametrize("mode", [MODE_ID, MODE_RID])
 @pytest.mark.parametrize("family", ["path", "cycle"])
 def test_min_steps_matches_unbounded_reference(family, mode):
@@ -265,7 +231,16 @@ def test_min_steps_matches_unbounded_reference(family, mode):
         g = gen_path(n) if family == "path" else gen_cycle(n)
         report = min_steps(g, mode, Budget(max_n=20))
         assert report.optimal
-        assert (report.steps, report.witness.placements) == reference_min_steps(g, mode), n
+        assert (report.steps, witness_moves(report)) == plain_min_steps(g, mode), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), st.integers(3, 9), st.sampled_from([MODE_ID, MODE_RID]))
+def test_min_steps_matches_plain_search_on_random_graphs(seed, n, mode):
+    g = gen_random_connected(seed, n, 0.4)
+    report = min_steps(g, mode)
+    assert report.optimal
+    assert (report.steps, witness_moves(report)) == plain_min_steps(g, mode)
 
 
 def test_min_steps_long_path_and_cycle_past_the_cap():
@@ -288,7 +263,7 @@ def test_min_steps_long_path_and_cycle_past_the_cap():
         lambda: min_steps(gen_cycle(10), MODE_RID),
         lambda: exact_confusion(gen_gn(8), Budget(nodes=3)),
         # past 2n nodes, so the search finds the group and keys on orbits
-        lambda: exact_relaxed_confusion(gen_gst(8, 3), Budget(max_n=200)),
+        lambda: exact_relaxed_confusion(gen_gst(10, 3), Budget(max_n=200)),
         lambda: min_steps(gen_path(12), MODE_ID, Budget(nodes=0)),
     ],
 )

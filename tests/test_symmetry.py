@@ -1,12 +1,13 @@
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread.engine import MODE_ID, MODE_RID, Label, StepContext, run
+from signedspread.engine import MODE_ID, MODE_RID, StepContext, run
 from signedspread.families import (
     gen_cycle,
     gen_gn,
@@ -21,12 +22,15 @@ from signedspread.solver import (
     _Limits,
     _OrbitKey,
     _Search,
+    _StepBound,
     brute_oracle,
     exact_confusion,
     exact_relaxed_confusion,
     relaxed_via_class,
 )
 from signedspread.symmetry import _MAX_IMAGES, automorphisms
+
+from plain_search import PlainSearch, PlainSteps, plain_min_steps, plain_solve
 
 
 def relabeled(g, seed):
@@ -45,51 +49,12 @@ def doubled(seed, k):
     return SignedGraph.from_edge_list(2 * k, edges)
 
 
-class PlainSearch:
-    """The raw-keyed search with stored best moves."""
-
-    def __init__(self, g, mode):
-        self.ctx = StepContext(g)
-        self.allow_neg = mode == MODE_RID
-        self.memo = {}
-
-    def value(self, labels, at_root=False):
-        key = labels.tobytes()
-        if key not in self.memo:
-            best, move = 0, None
-            if (labels == int(Label.ZERO)).any():
-                cur = int((labels == int(Label.CONFUSED)).sum())
-                children, moves, ccounts = self.ctx.expand(labels, self.allow_neg and not at_root)
-                best = None
-                for i in range(len(ccounts)):
-                    added = int(ccounts[i]) - cur
-                    if best is not None and added >= best:
-                        continue
-                    total = added + self.value(children[i])
-                    if best is None or total < best:
-                        best, move = total, (int(moves[i, 0]), int(moves[i, 1]))
-                        if best == 0:
-                            break
-            self.memo[key] = (best, move)
-        return self.memo[key][0]
-
-
-def plain_solve(g, mode):
-    """(optimum, witness) of the raw-keyed search."""
-    search = PlainSearch(g, mode)
-    labels = search.ctx.zeros_state()
-    optimum = search.value(labels, at_root=True)
-    witness = []
-    while (move := search.memo[labels.tobytes()][1]) is not None:
-        witness.append(move)
-        labels = search.ctx.step(labels, *move)
-    return optimum, witness
-
-
-def forced_solve(g, mode, perms):
-    """The search with the orbit key of perms from the root on."""
+def forced_solve(g, mode, perms, steps=False):
+    """The search with the orbit key of perms from the root on, for the
+    confusion objective or, with steps, the step objective."""
     ctx = StepContext(g)
-    search = _Search(ctx, mode == MODE_RID, _Limits(Budget()), _OrbitKey(perms, mode == MODE_RID))
+    search = _Search(ctx, mode == MODE_RID, _Limits(Budget()), _OrbitKey(perms, mode == MODE_RID),
+                     _StepBound(g) if steps else None)
     root = ctx.zeros_state()
     optimum = search.optimum(root)
     witness = [(p.vertex, int(p.info)) for p in search.witness(root, optimum)]
@@ -201,8 +166,9 @@ def symmetric_graph(kind, seed, size):
     st.integers(0, 10_000),
     st.integers(3, 5),
     st.sampled_from([MODE_ID, MODE_RID]),
+    st.booleans(),
 )
-def test_orbit_key_from_the_root_matches_plain_search(kind, seed, size, mode):
+def test_orbit_key_from_the_root_matches_plain_search(kind, seed, size, mode, steps):
     g = symmetric_graph(kind, seed, size)
     group = automorphisms(g)
     assert group is not None
@@ -210,14 +176,14 @@ def test_orbit_key_from_the_root_matches_plain_search(kind, seed, size, mode):
     subset = group[rng.random(len(group)) < 0.5]
     if len(subset) == 0:
         subset = group[rng.integers(len(group))][None]
-    want = plain_solve(g, mode)
-    assert forced_solve(g, mode, group) == want
-    assert forced_solve(g, mode, subset) == want
-    if g.n <= 8:
+    want = plain_min_steps(g, mode) if steps else plain_solve(g, mode)
+    assert forced_solve(g, mode, group, steps) == want
+    assert forced_solve(g, mode, subset, steps) == want
+    if g.n <= 8 and not steps:
         assert want[0] == brute_oracle(g, mode)
 
 
-@pytest.mark.parametrize("s", [8, 9])
+@pytest.mark.parametrize("s", [9, 10])
 @pytest.mark.parametrize("solve, mode", [(exact_confusion, MODE_ID),
                                          (exact_relaxed_confusion, MODE_RID)])
 def test_solver_witness_equals_plain_search_on_relabeled_gst(s, solve, mode):
@@ -228,13 +194,22 @@ def test_solver_witness_equals_plain_search_on_relabeled_gst(s, solve, mode):
     assert (report.optimum, [(p.vertex, int(p.info)) for p in report.witness.placements]) == want
 
 
+def assert_bounds_hold(search, plain):
+    """Every _need entry is at most, and every _fit entry at least, the
+    plain value of its key state."""
+    for memo, holds in ((search._need, operator.le), (search._fit, operator.ge)):
+        for key, bound in memo.items():
+            state = np.frombuffer(key, dtype=np.int8)
+            assert holds(bound, plain.value(state, at_root=not state.any()))
+
+
 @pytest.mark.parametrize("g, mode", [
-    (gen_gst(8, 3), MODE_ID),
-    (gen_gst(8, 3), MODE_RID),
+    (gen_gst(10, 3), MODE_ID),
+    (gen_gst(10, 3), MODE_RID),
     # ID values are not invariant under negation here: rID's negated
     # images must stay out of ID keys
-    (doubled(8, 6), MODE_ID),
-    (doubled(35, 6), MODE_ID),
+    (doubled(9, 7), MODE_ID),
+    (doubled(24, 8), MODE_ID),
 ])
 def test_every_memo_entry_is_the_value_of_its_key_state(g, mode):
     g = relabeled(g, 5)
@@ -243,10 +218,27 @@ def test_every_memo_entry_is_the_value_of_its_key_state(g, mode):
     search = _Search(ctx, mode == MODE_RID, limits)
     search.optimum(ctx.zeros_state())
     assert limits.nodes_used > 2 * g.n  # the later entries are keyed on orbits
-    plain = PlainSearch(g, mode)
-    for key, value in search._memo.items():
-        state = np.frombuffer(key, dtype=np.int8)
-        assert value == plain.value(state, at_root=not state.any())
+    assert_bounds_hold(search, PlainSearch(g, mode))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["doubled", "cycle", "gn", "ktt"]),
+    st.integers(0, 10_000),
+    st.integers(3, 4),
+    st.sampled_from([MODE_ID, MODE_RID]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_memo_bounds_hold_for_both_objectives(kind, seed, size, mode, steps, orbits):
+    g = symmetric_graph(kind, seed, size)
+    ctx = StepContext(g)
+    orbit_key = _OrbitKey(automorphisms(g), mode == MODE_RID) if orbits else None
+    search = _Search(ctx, mode == MODE_RID, _Limits(Budget()), orbit_key,
+                     _StepBound(g) if steps else None)
+    root = ctx.zeros_state()
+    search.witness(root, search.optimum(root))
+    assert_bounds_hold(search, PlainSteps(g, mode) if steps else PlainSearch(g, mode))
 
 
 @pytest.mark.parametrize("g", [gen_gst(4, 3), gen_gst(10, 3)])  # one and two packed words
@@ -284,12 +276,13 @@ def test_orbit_key_solves_large_rings_past_the_cap():
 
 def forget_before_each_walk(monkeypatch):
     """Clear the memo before every witness walk, so the walk has to solve
-    the children it tests, as it does when a state on it took its value
-    from an orbit-mate that pruned the child the walk picks."""
+    the children it tests, as it does when a state on it took its bounds
+    from an orbit-mate that never searched the child the walk picks."""
     walk = _Search.witness
 
     def forgetful(self, root, optimum):
-        self._memo.clear()
+        self._need.clear()
+        self._fit.clear()
         return walk(self, root, optimum)
 
     monkeypatch.setattr(_Search, "witness", forgetful)
@@ -315,7 +308,7 @@ def test_relaxed_via_class_witness_replays_under_every_budget(forget, monkeypatc
     assert full.optimal and run(g, full.witness).confused_count() == full.optimum
     if forget:
         forget_before_each_walk(monkeypatch)
-    # 13 nodes per switching: the sweep crosses the first few improvements
+    # 15 nodes per switching: the budgets stop the sweep inside its first switchings
     for nodes in [*range(60), 500, full.nodes - 1]:
         report = relaxed_via_class(g, Budget(nodes=nodes))
         assert not report.optimal
