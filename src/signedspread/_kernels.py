@@ -1,15 +1,17 @@
 """Numerical kernels: the broadcast round and the switching scan.
 
-The broadcast round runs in numpy on a CSR adjacency. A state's hearing
-(what its informed vertices send) takes one pass over the CSR entries,
-O(n + m). step places one value on top of it: the no-placement round
-ORed with the placed vertex's own CSR row, O(n + deg v). expand makes
-every child of a state in one gather from a placement table,
-rows[v, i, w] = the hearing bit w gets when v holds A (i = 0) or -A
-(i = 1). The table takes 2n^2 int8 bytes, at most twice the n x n
-children a root expansion allocates anyway, and StepContext builds it
-on its first expand only, so a context that only steps (run, simulate,
-the greedy policies) keeps O(n + m) memory at any n.
+The broadcast round runs on int8 label arrays in numpy over a CSR
+adjacency. A state's hearing (what its informed vertices send) takes one
+pass over the CSR entries, O(n + m). step places one value on top of it:
+the no-placement round ORed with the placed vertex's own CSR row,
+O(n + deg v). run, simulate and the greedy policies step this way, in
+O(n + m) memory at any n.
+
+The exact search expands bitset states instead (StepContext.expand),
+one Python int a | b << n | c << 2n over the sets a, b and c of A, -A
+and C vertices. neighbour_masks gives each vertex the bitsets of its
+positive and negative neighbours: hearing is the OR of the transmitters'
+masks, and a child a few bit operations against the Zero set.
 
 The switching scan behind the frustration index exists twice, compiled
 with numba and in pure numpy. The numpy scan builds the negative-edge
@@ -49,7 +51,6 @@ ENV_FLAG = "SIGNEDSPREAD_BACKEND"
 ZERO = 0
 INFO_A = 1
 INFO_NEG_A = 2
-CONFUSED = 3
 
 # the switching scan counts the table of this many low mask bits directly:
 # below it, numpy's fixed cost per call outweighs the doubling's savings
@@ -104,15 +105,6 @@ def hearing(csr, labels):
     return heard
 
 
-def settle(csr, labels):
-    """(Zero mask, labels after a round with no placement): each Zero
-    vertex takes its hearing bits, the others keep their labels."""
-    zero = labels == ZERO
-    heard = hearing(csr, labels)
-    heard *= zero
-    return zero, heard | labels
-
-
 def step(csr, labels, v, info):
     """labels after placing info on Zero vertex v and one round.
 
@@ -121,7 +113,9 @@ def step(csr, labels, v, info):
     CSR slice indptr[v]:indptr[v+1] on its Zero neighbors: O(n + deg v).
     """
     indptr, nbrs, sgn, _ = csr
-    zero, out = settle(csr, labels)
+    # the round with no placement: each Zero vertex takes its hearing bits
+    zero = labels == ZERO
+    out = hearing(csr, labels) * zero | labels
     lo, hi = indptr[v], indptr[v + 1]
     w = nbrs[lo:hi]
     # the graph is simple, so no neighbor repeats and the fancy |= loses no bit
@@ -130,46 +124,15 @@ def step(csr, labels, v, info):
     return out
 
 
-def placement_table(csr, n):
-    """(rows, moves) for gathering every child of a state at once.
-
-    rows[v, i, w] is the hearing bit w gets when v holds A (i = 0) or -A
-    (i = 1), and 0 when w is not a neighbor of v: 2n^2 int8 bytes.
-    moves[v, i] is the placement (v, A) or (v, -A) of that row.
-    """
-    _, nbrs, sgn, owner = csr
-    rows = np.zeros((n, 2, n), dtype=np.int8)
-    rows[owner, 0, nbrs] = _HEARS[sgn]
-    rows[owner, 1, nbrs] = _HEARS[-sgn]
-    moves = np.empty((n, 2, 2), dtype=np.int64)
-    moves[:, :, 0] = np.arange(n)[:, None]
-    moves[:, :, 1] = (INFO_A, INFO_NEG_A)
-    return rows, moves
-
-
-def expand(csr, table, labels, allow_neg):
-    """(children, moves, ccounts) of every placement on a Zero vertex of
-    labels, ordered by vertex, A before -A; ccounts[i] counts the
-    confused vertices of child i.
-
-    Each child is its placement's table row, masked to the Zero vertices
-    and ORed with the no-placement round, with the placed vertex set to
-    its value.
-    """
-    rows, moves = table
-    n = labels.shape[0]
-    zero, base = settle(csr, labels)
-    zeros = np.flatnonzero(zero)
-    if allow_neg:
-        children = rows[zeros].reshape(2 * len(zeros), n)
-        moves = moves[zeros].reshape(2 * len(zeros), 2)
-    else:
-        children, moves = rows[zeros, 0], moves[zeros, 0]
-    children *= zero
-    children |= base
-    children[np.arange(len(moves)), moves[:, 0]] = moves[:, 1]
-    ccounts = (children == CONFUSED).sum(axis=1, dtype=np.int64)
-    return children, moves, ccounts
+def neighbour_masks(n, edges):
+    """(pos, neg): per-vertex bitsets of the positive and of the negative
+    neighbours, bit w of pos[v] set when v and w share a positive edge."""
+    pos, neg = [0] * n, [0] * n
+    for u, v, s in edges:
+        side = pos if s > 0 else neg
+        side[u] |= 1 << v
+        side[v] |= 1 << u
+    return pos, neg
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -39,6 +40,8 @@ class Label(IntEnum):
         return self
 
 
+_A = int(Label.A)
+_NEG_A = int(Label.NEG_A)
 _LABEL_STR = {Label.ZERO: "0", Label.A: "A", Label.NEG_A: "-A", Label.CONFUSED: "C"}
 _STR_LABEL = {s: l for l, s in _LABEL_STR.items()}
 # label code -> its string, for whole snapshots at once
@@ -74,13 +77,13 @@ class Strategy:
 
 
 class StepContext:
-    """Per-graph CSR adjacency for the broadcast round, and the placement
-    table that child expansion gathers from.
-
-    step and hearing read the CSR only: O(n + m) memory for any graph.
-    expand builds the 2n^2-byte table (see _kernels.placement_table) on
-    its first call, at most twice the n x n children a root expansion
-    allocates anyway; run, simulate and the greedy policies never build it.
+    """Per-graph adjacency for the broadcast round, each form built on
+    its first use: step and hearing run on int8 label arrays over a CSR
+    adjacency, O(n + m) memory at any n; expand runs on bitset states,
+    ints a | b << n | c << 2n over the sets a, b and c of A, -A and C
+    vertices, with the neighbour masks of _kernels.neighbour_masks (up
+    to n^2/8 bytes). The exact search never builds the CSR, and run,
+    simulate and the greedy policies never build the masks.
     """
 
     # the round runs in numpy; numba serves only the frustration scan
@@ -88,8 +91,14 @@ class StepContext:
 
     def __init__(self, g: SignedGraph):
         self.graph = g
-        self._csr = _kernels.csr_adjacency(g.n, g.edges)
-        self._table = None
+
+    @cached_property
+    def _csr(self):
+        return _kernels.csr_adjacency(self.graph.n, self.graph.edges)
+
+    @cached_property
+    def _masks(self):
+        return _kernels.neighbour_masks(self.graph.n, self.graph.edges)
 
     def zeros_state(self) -> np.ndarray:
         return np.zeros(self.graph.n, dtype=np.int8)
@@ -99,21 +108,50 @@ class StepContext:
 
     def hearing(self, labels: np.ndarray) -> np.ndarray:
         """Per-vertex hearing bits (1: hears A, 2: hears -A, 3: both) of
-        the signals labels sends; pending_signals in numpy."""
+        the signals labels sends."""
         return _kernels.hearing(self._csr, labels)
 
-    def expand(self, labels: np.ndarray, allow_neg: bool):
-        """Child states for every legal placement, in lexicographic order.
-
-        Rows are ordered by vertex ascending, value A before -A. Returns
-        (children, moves, ccounts) where ccounts[i] is the confused-vertex
-        count of child i.
-        """
-        if self._table is None:
-            self._table = _kernels.placement_table(self._csr, self.graph.n)
-        return _kernels.expand(
-            self._csr, self._table, labels.astype(np.int8, copy=False), allow_neg
-        )
+    def expand(self, state: int, allow_neg: bool):
+        """(children, moves, ccounts) of every placement on a Zero vertex
+        of the bitset state, ordered by vertex, A before -A: child states,
+        (vertex, value) pairs, and each child's confused count. What the
+        transmitters send is ORed once; each child adds its placed
+        vertex's masks, and each Zero vertex adopts the one value it
+        hears or is confused by both."""
+        pos, neg = self._masks
+        n = self.graph.n
+        full = (1 << n) - 1
+        a, b, c = state & full, state >> n & full, state >> 2 * n
+        hear_a = hear_b = 0  # vertices that hear A, and -A
+        for side, same, other in ((a, pos, neg), (b, neg, pos)):
+            while side:
+                low = side & -side
+                v = low.bit_length() - 1
+                hear_a |= same[v]
+                hear_b |= other[v]
+                side ^= low
+        zero = full ^ (a | b | c)
+        children, moves, ccounts = [], [], []
+        rest = zero
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            z = zero ^ low
+            p, q = pos[v], neg[v]
+            # v holds A: its positive neighbours hear A, its negative ones -A
+            za, zb = z & (hear_a | p), z & (hear_b | q)
+            both = za & zb
+            children.append(low | a | za ^ both | (b | zb ^ both) << n | (c | both) << 2 * n)
+            moves.append((v, _A))
+            ccounts.append((c | both).bit_count())
+            if allow_neg:  # v holds -A: the other way round
+                za, zb = z & (hear_a | q), z & (hear_b | p)
+                both = za & zb
+                children.append(a | za ^ both | (low | b | zb ^ both) << n | (c | both) << 2 * n)
+                moves.append((v, _NEG_A))
+                ccounts.append((c | both).bit_count())
+        return children, moves, ccounts
 
 
 @dataclass(eq=False)
@@ -252,29 +290,6 @@ def mirror_trace(trace: Trace) -> Trace:
         snapshots=tuple(snapshots),
         complete=True,
     )
-
-
-def pending_signals(g: SignedGraph, labels: np.ndarray):
-    """Per-vertex (hears A, hears -A) flags for the Zero vertices, in
-    plain Python: the reference for StepContext.hearing."""
-    hears_p = [False] * g.n
-    hears_m = [False] * g.n
-    for v in range(g.n):
-        if labels[v] != int(Label.ZERO):
-            continue
-        for w, s in g._adj[v]:
-            lw = labels[w]
-            if lw == int(Label.A):
-                val = s
-            elif lw == int(Label.NEG_A):
-                val = -s
-            else:
-                continue
-            if val > 0:
-                hears_p[v] = True
-            else:
-                hears_m[v] = True
-    return hears_p, hears_m
 
 
 def strategy_to_json(strategy: Strategy) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -296,23 +296,13 @@ def negative_cycles(g: SignedGraph, max_n: int = NEGATIVE_CYCLES_MAX_N) -> Cycle
 
 
 def _edge_shift_arrays(g: SignedGraph):
-    # vertex 0 is pinned outside every switch set; its mask bit is always 0,
-    # encoded as shift 63 so (mask >> 63) == 0 for all masks used here
-    shift_u = np.array([63 if u == 0 else u - 1 for u, _, _ in g.edges], dtype=np.int64)
-    shift_v = np.array([63 if v == 0 else v - 1 for _, v, _ in g.edges], dtype=np.int64)
-    eneg = np.array([1 if s < 0 else 0 for _, _, s in g.edges], dtype=np.int64)
-    return shift_u, shift_v, eneg
-
-
-def _negatives_after_switch(g: SignedGraph, mask: int) -> tuple:
-    out = []
-    for u, v, s in g.edges:
-        in_u = u != 0 and (mask >> (u - 1)) & 1 == 1
-        in_v = v != 0 and (mask >> (v - 1)) & 1 == 1
-        flipped = in_u != in_v
-        if (s < 0) != flipped:  # negative sign xor flipped-by-cut
-            out.append((u, v))
-    return tuple(out)
+    """(shift_u, shift_v, eneg): per edge, the mask bits of its ends and
+    whether its sign is negative."""
+    u, v, s = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
+                          count=3 * g.m).reshape(-1, 3).T
+    # vertex w is mask bit w - 1, and vertex 0, pinned outside every switch
+    # set, wraps to shift 63, so (mask >> 63) == 0 for all masks used here
+    return (u - 1) & 63, (v - 1) & 63, (s < 0).astype(np.int64)
 
 
 def _smallest_witness_mask(shift_u, shift_v, eneg, masks) -> int:
@@ -372,7 +362,10 @@ def frustration_index(
     mask = int(masks[0])
     if len(masks) > 1:
         mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
-    return best, frozenset(_negatives_after_switch(g, mask))
+    # an edge is negative after the switch when its sign is, unless it is cut
+    return best, frozenset(
+        e[:2] for e, su, sv, neg in zip(g.edges, shift_u.tolist(), shift_v.tolist(), eneg.tolist())
+        if (mask >> su ^ mask >> sv) & 1 != neg)
 
 
 def realize_min_signature(g: SignedGraph, e_set: Iterable[tuple]) -> SignedGraph:

@@ -9,6 +9,10 @@ lexicographic (vertex, value) order. A placement costs the confusion it
 adds; min_steps passes its step bound, and then a placement costs one
 step instead.
 
+A state is one Python int, the bitsets of its A, -A and C vertices
+packed as a | b << n | c << 2n (StepContext.expand), and that int, C
+included, is its memo key.
+
 _within(state, c) asks whether the state can complete at cost at most
 c. It skips a child that costs more than c on its own and stops at the
 first child that fits in what is left. The memo holds two proven bounds
@@ -25,8 +29,10 @@ states of one orbit share their least cost. Once a search has charged 2n
 nodes it finds the group from the graph (symmetry.automorphisms), rekeys
 the entries it has on their orbits, and from then on keys a state by its
 orbit representative, the lexicographically smallest image of the state
-over the group (and its negated images in relaxed mode). A smaller
-search never pays for finding the group.
+over the group (and its negated images in relaxed mode). Representatives
+are found in numpy: a node's children are unpacked to int8 label rows in
+one pass, and their representatives packed back to ints. A smaller
+search, which never finds the group, never unpacks a state.
 
 The witness walk goes from the root and takes the first child in
 lexicographic order that completes within what is left of the optimum.
@@ -50,6 +56,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -64,7 +72,7 @@ from .engine import (
     strategy_to_json,
 )
 from .errors import BudgetExceeded, CapacityError, InputError
-from .graph import SignedGraph, distance_table, switch
+from .graph import SignedGraph, switch
 from .strategies import rescue_priority
 from .symmetry import automorphisms
 
@@ -158,7 +166,9 @@ class _OrbitKey:
     over the rows P (and over the negated copies in rID). Each row packs
     into base-4 float64 words of _DIGITS digits, earlier vertices more
     significant, so one matrix product packs every candidate of every
-    child and the smallest word tuple is the smallest row.
+    child and the smallest word tuple is the smallest row. keys does the
+    same for bitset states: it unpacks them to label rows with one
+    unpackbits and packs the representatives back with one packbits.
     """
 
     def __init__(self, perms: np.ndarray, negate: bool):
@@ -174,6 +184,18 @@ class _OrbitKey:
         )
         self._weights = weights.reshape(n, words * n_perms)
         self._words = words
+        self._n = n
+
+    def keys(self, states: list) -> list:
+        """The packed representative of each packed state."""
+        n, width = self._n, -(-3 * self._n // 8)  # bytes of a packed state
+        raw = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in states), dtype=np.uint8)
+        a, b, c = np.unpackbits(raw.reshape(-1, width), axis=1, count=3 * n,
+                                bitorder="little").reshape(-1, 3, n).transpose(1, 0, 2)
+        reps = self.representatives((a | c | (b | c) << 1).astype(np.int8))
+        data = np.packbits(np.concatenate((reps == _A, reps == _NEG_A, reps == _CONFUSED), axis=1),
+                           axis=1, bitorder="little").tobytes()
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
     def representatives(self, states: np.ndarray) -> np.ndarray:
         """The representative of each row of states."""
@@ -201,28 +223,41 @@ class _StepBound:
     distance over-approximates reach. The Zero vertices farther than k
     from every transmitter must therefore fit in k new balls, at most
     cover[k] = sum of max_v |B(v, r)| over r = 1..k vertices.
+
+    Balls are bitsets, built one radius at a time as a test first needs
+    them: B(v, r) is the OR of B(u, r - 1) over v and its neighbours u.
     """
 
     def __init__(self, g: SignedGraph):
-        n = g.n
-        self._dist = distance_table(g)
-        # hist[v, d]: vertices at distance d from v (d = n: unreachable)
-        hist = np.bincount(
-            (np.arange(n)[:, None] * (n + 1) + self._dist).ravel(), minlength=n * (n + 1)
-        ).reshape(n, n + 1)
-        max_ball = hist.cumsum(axis=1).max(axis=0, initial=0)
-        self._cover = np.concatenate(([0], np.cumsum(max_ball[1:])))
+        self._n = g.n
+        self._near = [(v,) + g.neighbors(v) for v in range(g.n)]
+        self._balls = [[1 << v for v in range(g.n)]]  # _balls[r][v] = B(v, r)
+        self._cover = [0]
 
-    def cuts(self, labels: np.ndarray, k: int) -> bool:
-        zero = labels == _ZERO
+    def _ball(self, k: int) -> list:
+        """B(v, k) for every v, with cover[k]."""
+        while len(self._balls) <= k:
+            prev = self._balls[-1]
+            balls = [reduce(or_, map(prev.__getitem__, near)) for near in self._near]
+            self._balls.append(balls)
+            self._cover.append(self._cover[-1] + max(map(int.bit_count, balls), default=0))
+        return self._balls[k]
+
+    def cuts(self, state: int, k: int) -> bool:
+        n = self._n
+        full = (1 << n) - 1
+        zero = full ^ ((state | state >> n | state >> 2 * n) & full)
         if k == 0:  # no placement left: cut unless already complete
-            return bool(zero.any())
-        if np.count_nonzero(zero) <= self._cover[k]:
+            return zero != 0
+        balls = self._ball(k)
+        if zero.bit_count() <= self._cover[k]:
             return False
-        sends = (labels == _A) | (labels == _NEG_A)
-        if sends.any():
-            zero &= self._dist[sends].min(axis=0) > k
-        return np.count_nonzero(zero) > self._cover[k]
+        sends = (state | state >> n) & full
+        while sends:
+            low = sends & -sends
+            zero &= ~balls[low.bit_length() - 1]
+            sends ^= low
+        return zero.bit_count() > self._cover[k]
 
 
 @dataclass(eq=False)
@@ -231,21 +266,22 @@ class _Node:
     moves, what each placement costs, which children are complete, and
     their orbit representatives once some child needs them."""
 
-    children: np.ndarray
-    moves: np.ndarray
+    children: list
+    moves: list
     costs: list
     done: list
-    reps: np.ndarray | None = None
+    reps: list | None = None
 
 
 class _Search:
     """Least cost to complete a label state, by threshold search.
 
-    A placement costs the confusion it adds, or one step when a step
-    bound is given. A memo key is the bytes of a state: the state itself
-    until the orbit key is known, its orbit representative after. A call
-    under way when detection rekeys the memo still stores its own
-    state's bytes; that is sound, as every key is a state of its orbit.
+    States are packed bitsets (StepContext.expand), and the root is the
+    all-Zero state 0. A placement costs the confusion it adds, or one
+    step when a step bound is given. A memo key is a packed state: the
+    state itself until the orbit key is known, its orbit representative
+    after. A call under way when detection rekeys the memo still stores
+    its own state; that is sound, as every key is a state of its orbit.
     """
 
     def __init__(self, ctx: StepContext, allow_neg: bool, limits: _Limits,
@@ -258,33 +294,38 @@ class _Search:
         self._orbit_key = orbit_key
         self._bound = bound
         self._root = None  # the root's expansion, kept across thresholds and for the walk
+        self._n = ctx.graph.n
+        self._full = (1 << self._n) - 1
         # Ski rental: finding the group costs about as much as 2n nodes,
         # so it runs only once the search has spent that many. A solve
         # that ends sooner never pays for it; one that goes on pays at
         # most about twice what an oracle choosing up front would.
         self._detect_at = None if orbit_key is not None else limits.nodes_used + 2 * ctx.graph.n
 
-    def _expand(self, labels: np.ndarray, at_root: bool) -> _Node:
+    def _expand(self, state: int, at_root: bool) -> _Node:
         if at_root and self._root is not None:
             return self._root
-        children, moves, ccounts = self._ctx.expand(labels, self._allow_neg and not at_root)
+        children, moves, ccounts = self._ctx.expand(state, self._allow_neg and not at_root)
         if self._bound is None:
-            costs = (ccounts - np.count_nonzero(labels == _CONFUSED)).tolist()
+            held = (state >> 2 * self._n).bit_count()
+            costs = [k - held for k in ccounts]
         else:
             costs = [1] * len(ccounts)
-        node = _Node(children, moves, costs, (children != _ZERO).all(axis=1).tolist())
+        n, full = self._n, self._full
+        done = [(child | child >> n | child >> 2 * n) & full == full for child in children]
+        node = _Node(children, moves, costs, done)
         if at_root:
             self._root = node
         return node
 
-    def _key(self, node: _Node, i: int) -> bytes:
-        """The memo key of child i: its bytes, or once the orbit key is
-        known, its orbit representative's."""
+    def _key(self, node: _Node, i: int) -> int:
+        """The memo key of child i: the child, or once the orbit key is
+        known, its orbit representative."""
         if self._orbit_key is None:
-            return node.children[i].tobytes()
+            return node.children[i]
         if node.reps is None:
-            node.reps = self._orbit_key.representatives(node.children)
-        return node.reps[i].tobytes()
+            node.reps = self._orbit_key.keys(node.children)
+        return node.reps[i]
 
     def _detect(self):
         """Find the group, and rekey every entry on its orbit: the states
@@ -297,28 +338,26 @@ class _Search:
 
     def _rekey(self, memo: dict, pick) -> dict:
         keys = list(memo)
-        states = np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), self._ctx.graph.n)
         merged = {}
-        for key, rep in zip(keys, self._orbit_key.representatives(states)):
-            rep = rep.tobytes()
+        for key, rep in zip(keys, self._orbit_key.keys(keys)):
             merged[rep] = pick(merged.get(rep, memo[key]), memo[key])
         return merged
 
-    def _within(self, labels: np.ndarray, key: bytes, c: int, at_root: bool = False) -> bool:
-        """Whether labels can complete at cost at most c. On return,
+    def _within(self, state: int, key: int, c: int, at_root: bool = False) -> bool:
+        """Whether state can complete at cost at most c. On return,
         _fit[key] <= c if so and _need[key] > c if not."""
         if self._fit.get(key, c + 1) <= c:
             return True
         if self._need.get(key, 0) > c:
             return False
-        if self._bound is not None and self._bound.cuts(labels, c):
+        if self._bound is not None and self._bound.cuts(state, c):
             self._need[key] = c + 1
             return False
         self._limits.charge()
         if self._limits.nodes_used == self._detect_at:
             self._detect_at = None
             self._detect()
-        node = self._expand(labels, at_root)
+        node = self._expand(state, at_root)
         need = math.inf  # a searched state is incomplete, so it has children
         for i, cost in enumerate(node.costs):
             if cost > c:
@@ -335,17 +374,16 @@ class _Search:
         self._need[key] = need
         return False
 
-    def optimum(self, root: np.ndarray) -> int:
-        """The least cost to complete root: raise the threshold to the
-        lower bound each failed round proved, until a round fits."""
-        if not (root == _ZERO).any():
-            return 0
-        key, c = root.tobytes(), 0
-        while not self._within(root, key, c, at_root=True):
-            c = self._need[key]
+    def optimum(self) -> int:
+        """The least cost to complete the root, the all-Zero state 0:
+        raise the threshold to the lower bound each failed round proved,
+        until a round fits."""
+        c = 0
+        while self._n and not self._within(0, 0, c, at_root=True):
+            c = self._need[0]
         return c
 
-    def witness(self, root: np.ndarray, optimum: int) -> list:
+    def witness(self, optimum: int) -> list:
         """The lexicographically smallest optimal placements from the
         root that optimum() searched.
 
@@ -357,16 +395,16 @@ class _Search:
         never charged against the budget, so a search that proved its
         optimum keeps it.
         """
-        placements = []
-        labels, left = root, optimum
+        placements, state, left, done = [], 0, optimum, not self._n
         self._limits.enforced = False
         try:
-            while (labels == _ZERO).any():
-                node = self._expand(labels, not placements)
+            while not done:
+                node = self._expand(state, not placements)
                 i = next(i for i, cost in enumerate(node.costs) if cost <= left and (
                     node.done[i] or self._within(node.children[i], self._key(node, i), left - cost)))
-                placements.append(Placement(int(node.moves[i, 0]), Label(int(node.moves[i, 1]))))
-                labels, left = node.children[i], left - node.costs[i]
+                vertex, info = node.moves[i]
+                placements.append(Placement(vertex, Label(info)))
+                state, left, done = node.children[i], left - node.costs[i], node.done[i]
         finally:
             self._limits.enforced = True
         return placements
@@ -390,13 +428,12 @@ def _fallback(g: SignedGraph, mode: str, t0: float, limits: _Limits,
 def _branch_solve(g: SignedGraph, mode: str, budget: Budget,
                   count_steps: bool = False) -> SolveReport:
     t0 = time.perf_counter()
-    ctx = StepContext(g)
     limits = _Limits(budget)
-    root = ctx.zeros_state()
-    search = _Search(ctx, mode == MODE_RID, limits, bound=_StepBound(g) if count_steps else None)
+    search = _Search(StepContext(g), mode == MODE_RID, limits,
+                     bound=_StepBound(g) if count_steps else None)
     try:
-        value = search.optimum(root)
-        witness = Strategy(mode, search.witness(root, value))
+        value = search.optimum()
+        witness = Strategy(mode, search.witness(value))
     except BudgetExceeded:
         return _fallback(g, mode, t0, limits, count_steps)
     return _report(t0, limits, value, witness, True)
@@ -437,20 +474,14 @@ def relaxed_via_class(g: SignedGraph, budget: Budget | None = None) -> SolveRepo
     _check_exact_pre(g, budget, CLASS_MAX_N, "relaxed_via_class")
     t0 = time.perf_counter()
     limits = _Limits(budget)
-    best = None
-    best_witness = None
-    n_masks = 1 << max(0, g.n - 1)
-    exhausted = False
+    best, best_witness, exhausted = None, None, False
     try:
-        for mask in range(n_masks):
+        for mask in range(1 << max(0, g.n - 1)):
             members = frozenset(v for v in range(1, g.n) if (mask >> (v - 1)) & 1)
-            sg = switch(g, members)
-            ctx = StepContext(sg)
-            root = ctx.zeros_state()
-            search = _Search(ctx, False, limits)
-            value = search.optimum(root)
+            search = _Search(StepContext(switch(g, members)), False, limits)
+            value = search.optimum()
             if best is None or value < best:
-                placements = search.witness(root, value)
+                placements = search.witness(value)
                 best = value
                 best_witness = Strategy(
                     MODE_RID,
@@ -488,12 +519,12 @@ def brute_oracle(g: SignedGraph, mode: str = MODE_ID, max_n: int = ORACLE_MAX_N)
     if g.n > max_n:
         raise CapacityError(f"brute_oracle capped at n <= {max_n}, got {g.n}")
     ctx = StepContext(g)
-    allow_neg = mode == MODE_RID
+    infos = (_A, _NEG_A) if mode == MODE_RID else (_A,)
 
     def rec(labels):
-        children, _, _ = ctx.expand(labels, allow_neg)
-        if children.shape[0] == 0:
+        zeros = np.flatnonzero(labels == _ZERO).tolist()
+        if not zeros:
             return int((labels == _CONFUSED).sum())
-        return min(rec(children[i]) for i in range(children.shape[0]))
+        return min(rec(ctx.step(labels, v, info)) for v in zeros for info in infos)
 
     return rec(ctx.zeros_state())

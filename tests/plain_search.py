@@ -1,10 +1,66 @@
-"""Plain reference searches for the exact solvers: raw state keys, no
-orbit keys, no step bound, no thresholds."""
+"""Plain references for the round and the exact solvers: the hearing rule
+in plain Python, and searches over int8 label arrays stepped one
+placement at a time with StepContext.step (the CSR round), with raw
+state keys, no orbit keys, no step bound and no thresholds. None of them
+uses the bitset kernel of StepContext.expand, which they check."""
+
+import numpy as np
 
 from signedspread.engine import MODE_RID, Label, StepContext
 
 ZERO = int(Label.ZERO)
+A = int(Label.A)
+NEG_A = int(Label.NEG_A)
 CONFUSED = int(Label.CONFUSED)
+
+
+def pending_signals(g, labels):
+    """Per-vertex (hears A, hears -A) flags for the Zero vertices, in
+    plain Python: the reference for StepContext.hearing."""
+    hears_p = [False] * g.n
+    hears_m = [False] * g.n
+    for v in range(g.n):
+        if labels[v] != ZERO:
+            continue
+        for w, s in g._adj[v]:
+            lw = labels[w]
+            if lw == A:
+                val = s
+            elif lw == NEG_A:
+                val = -s
+            else:
+                continue
+            if val > 0:
+                hears_p[v] = True
+            else:
+                hears_m[v] = True
+    return hears_p, hears_m
+
+
+def pack(labels):
+    """The bitset state a | b << n | c << 2n of an int8 label array."""
+    n = len(labels)
+    state = 0
+    for v, label in enumerate(labels.tolist()):
+        if label != ZERO:
+            state |= 1 << (v + (label - 1) * n)
+    return state
+
+
+def unpack(state, n):
+    """The int8 label array of a bitset state."""
+    return np.array([A if state >> v & 1 else NEG_A if state >> (v + n) & 1
+                     else CONFUSED if state >> (v + 2 * n) & 1 else ZERO
+                     for v in range(n)], dtype=np.int8)
+
+
+def placements(ctx, labels, allow_neg):
+    """(child, (vertex, value)) for every placement on a Zero vertex, in
+    lexicographic order, each child stepped as it is asked for."""
+    infos = (A, NEG_A) if allow_neg else (A,)
+    for v in np.flatnonzero(labels == ZERO).tolist():
+        for info in infos:
+            yield ctx.step(labels, v, info), (v, info)
 
 
 class PlainSearch:
@@ -21,15 +77,14 @@ class PlainSearch:
             best, move = 0, None
             if (labels == ZERO).any():
                 cur = int((labels == CONFUSED).sum())
-                children, moves, ccounts = self.ctx.expand(labels, self.allow_neg and not at_root)
                 best = None
-                for i in range(len(ccounts)):
-                    added = int(ccounts[i]) - cur
+                for child, placed in placements(self.ctx, labels, self.allow_neg and not at_root):
+                    added = int((child == CONFUSED).sum()) - cur
                     if best is not None and added >= best:
                         continue
-                    total = added + self.value(children[i])
+                    total = added + self.value(child)
                     if best is None or total < best:
-                        best, move = total, (int(moves[i, 0]), int(moves[i, 1]))
+                        best, move = total, placed
                         if best == 0:
                             break
             self.memo[key] = (best, move)
@@ -66,8 +121,9 @@ class PlainSteps:
             return False
         key = (labels.tobytes(), remaining, at_root)
         if key not in self.memo:
-            children, _, _ = self.ctx.expand(labels, self.allow_neg and not at_root)
-            self.memo[key] = any(self.feasible(child, remaining - 1) for child in children)
+            self.memo[key] = any(
+                self.feasible(child, remaining - 1)
+                for child, _ in placements(self.ctx, labels, self.allow_neg and not at_root))
         return self.memo[key]
 
     def value(self, labels, at_root=False):
@@ -83,8 +139,9 @@ def plain_min_steps(g, mode):
     steps = search.value(labels, at_root=True)
     witness = []
     for left in range(steps, 0, -1):
-        children, moves, _ = search.ctx.expand(labels, search.allow_neg and bool(witness))
-        i = next(i for i, child in enumerate(children) if search.feasible(child, left - 1))
-        witness.append((int(moves[i, 0]), int(moves[i, 1])))
-        labels = children[i]
+        labels, placed = next(
+            (child, placed)
+            for child, placed in placements(search.ctx, labels, search.allow_neg and bool(witness))
+            if search.feasible(child, left - 1))
+        witness.append(placed)
     return steps, witness

@@ -13,7 +13,6 @@ from signedspread.engine import (
     label_to_str,
     levels,
     mirror_trace,
-    pending_signals,
     run,
     step,
     str_to_label,
@@ -25,6 +24,8 @@ from signedspread.errors import InputError, StrategyError
 from signedspread.families import gen_cycle, gen_gn, gen_gst, gen_path, gen_random_connected
 from signedspread.graph import SignedGraph, negate_signature
 from signedspread.solver import exact_relaxed_confusion
+
+from plain_search import pending_signals
 
 
 def test_label_negation_and_strings():

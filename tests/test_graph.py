@@ -16,7 +16,6 @@ from signedspread.graph import (
     JSON_MAX_N,
     SignedGraph,
     _edge_shift_arrays,
-    _negatives_after_switch,
     distance_table,
     equivalent,
     frustration_index,
@@ -258,6 +257,18 @@ def _sparse_random(seed, n, m):
     )
 
 
+def negatives_after_switch(g, mask):
+    """The negative edges after switching the vertices of mask (bit b is
+    vertex b + 1), one edge at a time."""
+    out = []
+    for u, v, s in g.edges:
+        in_u = u != 0 and (mask >> (u - 1)) & 1 == 1
+        in_v = v != 0 and (mask >> (v - 1)) & 1 == 1
+        if (s < 0) != (in_u != in_v):  # negative sign xor cut by the switch
+            out.append((u, v))
+    return out
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -277,7 +288,7 @@ def test_frustration_witness_matches_smallest_sorted_rule(g):
     tied mask of the scan, picked the slow way here."""
     shift_u, shift_v, eneg = _edge_shift_arrays(g)
     best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, 1 << (g.n - 1))
-    want = min(sorted(_negatives_after_switch(g, int(mask))) for mask in masks)
+    want = min(sorted(negatives_after_switch(g, int(mask))) for mask in masks)
     assert frustration_index(g) == (best, frozenset(want))
 
 

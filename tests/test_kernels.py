@@ -7,16 +7,19 @@ from hypothesis import example, given, settings, strategies as st
 from signedspread import _kernels
 from signedspread.engine import (
     MODE_ID,
+    MODE_RID,
     Label,
     Placement,
     StepContext,
     Strategy,
-    pending_signals,
     run,
 )
 from signedspread.families import gen_cycle, gen_ktt_tau, gen_path, gen_random_connected
 from signedspread.graph import SignedGraph, _edge_shift_arrays, frustration_index
-from signedspread.solver import exact_confusion, exact_relaxed_confusion
+from signedspread.solver import exact_confusion, exact_relaxed_confusion, min_steps
+from signedspread.symmetry import automorphisms
+
+from plain_search import pack, pending_signals, unpack
 
 
 def test_resolve_backend(monkeypatch):
@@ -55,13 +58,12 @@ def reference_step(g, labels, v, info):
 
 
 def reference_expand(g, labels, allow_neg):
+    """(children as label lists, moves, ccounts) by reference_step."""
     infos = (1, 2) if allow_neg else (1,)
     moves = [(v, info) for v in range(g.n) if labels[v] == int(Label.ZERO) for info in infos]
-    children = np.array(
-        [reference_step(g, labels, v, info) for v, info in moves], dtype=np.int8
-    ).reshape(len(moves), g.n)
-    ccounts = (children == int(Label.CONFUSED)).sum(axis=1).astype(np.int64)
-    return children, np.array(moves, dtype=np.int64).reshape(-1, 2), ccounts
+    children = [reference_step(g, labels, v, info).tolist() for v, info in moves]
+    ccounts = [child.count(int(Label.CONFUSED)) for child in children]
+    return children, moves, ccounts
 
 
 def assert_identical(a, b):
@@ -70,9 +72,9 @@ def assert_identical(a, b):
 
 
 def assert_expand_matches_reference(ctx, labels, allow_neg):
-    got = ctx.expand(labels, allow_neg)
-    for a, b in zip(got, reference_expand(ctx.graph, labels, allow_neg)):
-        assert_identical(a, b)
+    children, moves, ccounts = ctx.expand(pack(labels), allow_neg)
+    assert ([unpack(child, ctx.graph.n).tolist() for child in children], moves, ccounts) == (
+        reference_expand(ctx.graph, labels, allow_neg))
 
 
 @st.composite
@@ -146,10 +148,7 @@ def test_expand_on_complete_state(g):
             labels = ctx.step(labels, v, int(Label.NEG_A))
     assert not (labels == int(Label.ZERO)).any()
     for allow_neg in (False, True):
-        children, moves, ccounts = ctx.expand(labels, allow_neg)
-        assert (children.shape, children.dtype) == ((0, g.n), np.int8)
-        assert (moves.shape, moves.dtype) == ((0, 2), np.int64)
-        assert (ccounts.shape, ccounts.dtype) == ((0,), np.int64)
+        assert ctx.expand(pack(labels), allow_neg) == ([], [], [])
         assert_expand_matches_reference(ctx, labels, allow_neg)
 
 
@@ -167,8 +166,8 @@ def test_expand_matches_reference_on_mixed_states(signs):
         assert_expand_matches_reference(ctx, labels, allow_neg)
 
 
-def test_run_never_builds_placement_table():
-    # the table takes 2n^2 bytes (32 MB here); stepping needs only the CSR
+def test_run_never_builds_bit_masks():
+    # the neighbour masks take up to n^2/8 bytes; stepping needs only the CSR
     g = gen_path(4000)
     ctx = StepContext(g)
     strategy = Strategy(MODE_ID, [Placement(v, Label.A) for v in range(0, g.n, 3)])
@@ -179,9 +178,43 @@ def test_run_never_builds_placement_table():
     finally:
         tracemalloc.stop()
     assert trace.complete
-    assert ctx._table is None
+    assert "_masks" not in vars(ctx)
     # the trace itself keeps 1,334 snapshots of n bytes, about 5.3 MB
     assert peak < 2 * g.n * g.n // 4
+
+
+@st.composite
+def reachable_states(draw):
+    """(graph on n <= 10 vertices, a state reached by legal placements,
+    whether -A may be placed), the first placement A as in the solvers."""
+    n = draw(st.integers(2, 10))
+    g = gen_random_connected(draw(st.integers(0, 99999)), n, draw(st.sampled_from([0.3, 0.6])))
+    allow_neg = draw(st.booleans())
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    for i in range(draw(st.integers(0, n))):
+        zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
+        if not zeros:
+            break
+        info = draw(st.sampled_from([1, 2])) if allow_neg and i else 1
+        labels = ctx.step(labels, draw(st.sampled_from(zeros)), info)
+    return g, labels, allow_neg
+
+
+@settings(max_examples=150, deadline=None)
+@given(reachable_states())
+def test_bitset_children_equal_step_on_their_placements(case):
+    # the two rounds check each other: each bitset child is the CSR step
+    g, labels, allow_neg = case
+    ctx = StepContext(g)
+    children, moves, ccounts = ctx.expand(pack(labels), allow_neg)
+    zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
+    assert moves == [(v, info) for v in zeros for info in ((1, 2) if allow_neg else (1,))]
+    assert len(children) == len(ccounts) == len(moves)
+    for child, (v, info), ccount in zip(children, moves, ccounts):
+        want = ctx.step(labels, v, info)
+        assert_identical(unpack(child, g.n), want)
+        assert ccount == int((want == int(Label.CONFUSED)).sum())
 
 
 def relabel(g, perm):
@@ -197,6 +230,27 @@ def test_optimum_invariant_under_relabeling(seed, n, rnd):
     h = relabel(g, perm)
     assert exact_confusion(h).optimum == exact_confusion(g).optimum
     assert exact_relaxed_confusion(h).optimum == exact_relaxed_confusion(g).optimum
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 99999), st.integers(3, 10), st.randoms(use_true_random=False))
+def test_step_optimum_and_group_invariant_under_relabeling(seed, n, rnd):
+    # node counts are not invariant (the children's lexicographic order
+    # changes), but the optimum is, and the group the search keys its
+    # memo on is found from either labeling
+    g = gen_random_connected(seed, n)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    h = relabel(g, perm)
+    for mode in (MODE_ID, MODE_RID):
+        report = min_steps(h, mode)
+        assert report.optimum == min_steps(g, mode).optimum
+        trace = run(h, report.witness)
+        assert trace.complete and trace.steps == report.optimum
+    group_g, group_h = automorphisms(g), automorphisms(h)
+    assert (group_g is None) == (group_h is None)
+    if group_g is not None:
+        assert len(group_g) == len(group_h)
 
 
 @needs_numba
@@ -260,11 +314,10 @@ def test_step_monotone_labels(gl, info):
 def test_expand_row_order_is_lexicographic():
     g = gen_ktt_tau(3)
     ctx = StepContext(g)
-    children, moves, ccounts = ctx.expand(ctx.zeros_state(), True)
-    pairs = [(int(v), int(i)) for v, i in moves]
-    assert pairs == sorted(pairs)
-    assert len(pairs) == 2 * g.n
-    assert children.shape == (2 * g.n, g.n)
+    children, moves, ccounts = ctx.expand(0, True)
+    assert moves == sorted(moves)
+    assert len(moves) == 2 * g.n
+    assert len(children) == 2 * g.n
     assert len(ccounts) == 2 * g.n
 
 

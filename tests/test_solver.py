@@ -27,7 +27,7 @@ from signedspread.solver import (
 )
 from signedspread.strategies import rescue_priority
 
-from plain_search import PlainSteps, plain_min_steps
+from plain_search import PlainSteps, pack, plain_min_steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +202,7 @@ def test_step_bound_cuts_only_infeasible_states(seed, n, picks, allow_neg):
     bound = _StepBound(g)
     plain = PlainSteps(g, MODE_RID)  # relaxed placements: a superset of ID's
     for k in range(n + 1):
-        if bound.cuts(labels, k):
+        if bound.cuts(pack(labels), k):
             assert not plain.feasible(labels, k)
 
 
@@ -210,14 +210,14 @@ def test_step_bound_cuts_long_paths():
     ctx = StepContext(gen_path(10))
     bound = _StepBound(gen_path(10))
     # balls of radius 2 and 1 hold at most 5 + 3 of the 10 vertices
-    assert bound.cuts(ctx.zeros_state(), 2) and not bound.cuts(ctx.zeros_state(), 3)
+    assert bound.cuts(0, 2) and not bound.cuts(0, 3)
     # a transmitter at vertex 0 reaches 0..2 within 2 steps; 7 remain
-    assert not bound.cuts(ctx.step(ctx.zeros_state(), 0, int(Label.A)), 2)
-    assert bound.cuts(ctx.step(ctx.zeros_state(), 0, int(Label.A)), 1)
+    assert not bound.cuts(pack(ctx.step(ctx.zeros_state(), 0, int(Label.A))), 2)
+    assert bound.cuts(pack(ctx.step(ctx.zeros_state(), 0, int(Label.A))), 1)
     # -A transmits too: 0 and 1 hold -A, and placing at 6 then 10 completes
     ctx = StepContext(gen_path(12))
     state = ctx.step(ctx.zeros_state(), 0, int(Label.NEG_A))
-    assert not _StepBound(gen_path(12)).cuts(state, 2)
+    assert not _StepBound(gen_path(12)).cuts(pack(state), 2)
 
 
 def witness_moves(report):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread.engine import Label, StepContext, pending_signals, run
+from signedspread.engine import Label, StepContext, run
 from signedspread.errors import InputError
 from signedspread.families import (
     gen_cycle,
@@ -21,6 +21,8 @@ from signedspread.strategies import (
     rescue_priority,
     tree_frontier,
 )
+
+from plain_search import pending_signals
 
 
 def test_policies_registry():
