@@ -1,11 +1,12 @@
 """Numerical kernels: the broadcast round and the switching scan.
 
-The broadcast round runs on int8 label arrays in numpy over a CSR
-adjacency. A state's hearing (what its informed vertices send) takes one
-pass over the CSR entries, O(n + m). step places one value on top of it:
-the no-placement round ORed with the placed vertex's own CSR row,
-O(n + deg v). run, simulate and the greedy policies step this way, in
-O(n + m) memory at any n.
+The broadcast round is plain Python over per-vertex signed neighbour
+rows. heard ORs what a list of senders sends into their Zero neighbours.
+A round never leaves a Zero neighbour next to a vertex that sent in it,
+so StepContext.step passes only the vertices the last round informed
+plus the placed vertex, and reads O(sum of their degrees) row entries
+on top of an O(n) byte copy of the state. run, simulate and the greedy
+policies step this way, in O(n + m) memory at any n.
 
 The exact search expands bitset states instead (StepContext.expand),
 one Python int a | b << n | c << 2n over the sets a, b and c of A, -A
@@ -48,7 +49,6 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 ENV_FLAG = "SIGNEDSPREAD_BACKEND"
 
-ZERO = 0
 INFO_A = 1
 INFO_NEG_A = 2
 
@@ -72,55 +72,22 @@ def resolve_backend(override: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# broadcast round on a CSR adjacency: row w of (indptr, nbrs, sgn) lists the
-# neighbors of w and the edge signs; owner[e] is the vertex owning entry e
-
-# value a label transmits: A +1, -A -1, Zero and C nothing
-_SIGNAL = np.array([0, 1, -1, 0], dtype=np.int8)
-# hearing bit of a received signal, indexed by the signal: +1 -> A, and
-# -1, which numpy reads as the last entry, -> -A
-_HEARS = np.array([0, INFO_A, INFO_NEG_A], dtype=np.int8)
+# broadcast round on per-vertex signed rows
 
 
-def csr_adjacency(n, edges):
-    """(indptr, nbrs, sgn, owner) of an undirected (u, v, sign) edge list."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    src = np.concatenate((e[:, 0], e[:, 1]))
-    order = np.argsort(src, kind="stable")
-    nbrs = np.concatenate((e[:, 1], e[:, 0]))[order]
-    sgn = np.concatenate((e[:, 2], e[:, 2])).astype(np.int8)[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, nbrs, sgn, src[order]
-
-
-def hearing(csr, labels):
-    """Per-vertex hearing bits of what labels sends (1: hears A, 2: hears
-    -A, 3: both), for every vertex whatever its own label."""
-    _, nbrs, sgn, owner = csr
-    sig = _SIGNAL[labels][nbrs] * sgn
-    heard = np.zeros(labels.shape[0], dtype=np.int8)
-    heard[owner[sig > 0]] = INFO_A
-    heard[owner[sig < 0]] |= INFO_NEG_A
-    return heard
-
-
-def step(csr, labels, v, info):
-    """labels after placing info on Zero vertex v and one round.
-
-    Placing on v only adds v's own row of signals to what the current
-    state sends, so the no-placement round is ORed with the bits of the
-    CSR slice indptr[v]:indptr[v+1] on its Zero neighbors: O(n + deg v).
-    """
-    indptr, nbrs, sgn, _ = csr
-    # the round with no placement: each Zero vertex takes its hearing bits
-    zero = labels == ZERO
-    out = hearing(csr, labels) * zero | labels
-    lo, hi = indptr[v], indptr[v + 1]
-    w = nbrs[lo:hi]
-    # the graph is simple, so no neighbor repeats and the fancy |= loses no bit
-    out[w] |= _HEARS[sgn[lo:hi] * _SIGNAL[info]] * zero[w]
-    out[v] = info
+def heard(rows, labels, senders):
+    """{Zero vertex: hearing bits} of what the senders send (1: hears A,
+    2: hears -A, 3: both). rows[v] lists v's (neighbour, edge sign)
+    pairs; labels is indexable by vertex (bytes or a bytearray of label
+    codes) and gives each sender's value, A or -A."""
+    out = {}
+    get = out.get
+    for s in senders:
+        # the edge sign under which s's value arrives as A
+        sends_a = 1 if labels[s] == INFO_A else -1
+        for w, sign in rows[s]:
+            if not labels[w]:
+                out[w] = get(w, 0) | (INFO_A if sign == sends_a else INFO_NEG_A)
     return out
 
 

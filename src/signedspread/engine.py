@@ -42,6 +42,7 @@ class Label(IntEnum):
 
 _A = int(Label.A)
 _NEG_A = int(Label.NEG_A)
+_CONFUSED = int(Label.CONFUSED)
 _LABEL_STR = {Label.ZERO: "0", Label.A: "A", Label.NEG_A: "-A", Label.CONFUSED: "C"}
 _STR_LABEL = {s: l for l, s in _LABEL_STR.items()}
 # label code -> its string, for whole snapshots at once
@@ -77,24 +78,36 @@ class Strategy:
 
 
 class StepContext:
-    """Per-graph adjacency for the broadcast round, each form built on
-    its first use: step and hearing run on int8 label arrays over a CSR
-    adjacency, O(n + m) memory at any n; expand runs on bitset states,
-    ints a | b << n | c << 2n over the sets a, b and c of A, -A and C
+    """Per-graph adjacency for the broadcast round. step and hearing run
+    on int8 label arrays over the graph's per-vertex (neighbour, sign)
+    rows, O(n + m) memory at any n; expand runs on bitset states, ints
+    a | b << n | c << 2n over the sets a, b and c of A, -A and C
     vertices, with the neighbour masks of _kernels.neighbour_masks (up
-    to n^2/8 bytes). The exact search never builds the CSR, and run,
-    simulate and the greedy policies never build the masks.
+    to n^2/8 bytes), built on its first call. run, simulate and the
+    greedy policies never build the masks.
+
+    A round leaves no Zero neighbour next to any vertex that sent in it,
+    so only the vertices it informed (its frontier) and the next placed
+    vertex can reach anyone in the next round. step returns read-only
+    int8 views of bytes and remembers the last one with its frontier:
+    stepping or hearing that very object reads only the frontier's rows.
+    On any other state every transmitter (A or -A) is a sender.
     """
 
-    # the round runs in numpy; numba serves only the frustration scan
+    # the tracer keys its step byte count on this; the round itself is
+    # plain Python, and numba serves only the frustration scan
     backend = "numpy"
 
     def __init__(self, g: SignedGraph):
         self.graph = g
+        # (the state step returned last, its frontier), one tuple so that
+        # it is always read and replaced whole
+        self._last = None
 
     @cached_property
-    def _csr(self):
-        return _kernels.csr_adjacency(self.graph.n, self.graph.edges)
+    def _rows(self):
+        # per vertex, its (neighbour, edge sign) pairs, shared with the graph
+        return self.graph._adj
 
     @cached_property
     def _masks(self):
@@ -103,13 +116,32 @@ class StepContext:
     def zeros_state(self) -> np.ndarray:
         return np.zeros(self.graph.n, dtype=np.int8)
 
+    def _senders(self, labels: np.ndarray) -> list:
+        last = self._last
+        if last is not None and labels is last[0]:
+            return last[1]
+        return np.flatnonzero((labels == _A) | (labels == _NEG_A)).tolist()
+
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
-        return _kernels.step(self._csr, labels, vertex, info)
+        """labels after placing info on the Zero vertex `vertex` and one
+        round, as a read-only int8 view of bytes."""
+        senders = self._senders(labels)
+        buf = bytearray(labels.tobytes())
+        buf[vertex] = info
+        heard = _kernels.heard(self._rows, buf, senders + [vertex])
+        for w, bits in heard.items():
+            buf[w] = bits  # the hearing bits are the label codes A, -A, C
+        out = np.frombuffer(bytes(buf), dtype=np.int8)
+        self._last = out, [w for w, bits in heard.items() if bits != _CONFUSED]
+        return out
 
     def hearing(self, labels: np.ndarray) -> np.ndarray:
-        """Per-vertex hearing bits (1: hears A, 2: hears -A, 3: both) of
-        the signals labels sends."""
-        return _kernels.hearing(self._csr, labels)
+        """Hearing bits (1: hears A, 2: hears -A, 3: both) of the Zero
+        vertices under the signals labels sends, 0 elsewhere."""
+        heard = _kernels.heard(self._rows, labels.tobytes(), self._senders(labels))
+        out = np.zeros(self.graph.n, dtype=np.int8)
+        out[list(heard)] = list(heard.values())
+        return out
 
     def expand(self, state: int, allow_neg: bool):
         """(children, moves, ccounts) of every placement on a Zero vertex
@@ -220,8 +252,13 @@ def step(g: SignedGraph, state: np.ndarray, placement: Placement,
          ctx: StepContext | None = None) -> np.ndarray:
     """Place on a Zero vertex and run one synchronous round."""
     ctx = ctx or StepContext(g)
-    info = _check_placement(g, state, placement)
-    return _freeze(ctx.step(np.asarray(state, dtype=np.int8), placement.vertex, int(info)))
+    labels = np.asarray(state)
+    if labels.shape != (g.n,):
+        raise InputError(f"state has shape {labels.shape}, expected {g.n} labels")
+    if labels.dtype.kind not in "iu" or (g.n and not 0 <= labels.min() <= labels.max() <= 3):
+        raise InputError("state labels must be integer codes 0..3")
+    info = _check_placement(g, labels, placement)
+    return _freeze(ctx.step(labels.astype(np.int8, copy=False), placement.vertex, int(info)))
 
 
 def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> Trace:

@@ -32,7 +32,7 @@ def _drive(g: SignedGraph, pick, ctx: StepContext | None = None) -> Strategy:
 
 
 def _zeros(labels):
-    return [v for v in range(len(labels)) if labels[v] == _ZERO]
+    return np.flatnonzero(labels == _ZERO).tolist()
 
 
 def tree_frontier(g: SignedGraph) -> Strategy:

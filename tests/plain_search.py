@@ -1,6 +1,6 @@
 """Plain references for the round and the exact solvers: the hearing rule
 in plain Python, and searches over int8 label arrays stepped one
-placement at a time with StepContext.step (the CSR round), with raw
+placement at a time with StepContext.step (the frontier round), with raw
 state keys, no orbit keys, no step bound and no thresholds. None of them
 uses the bitset kernel of StepContext.expand, which they check."""
 

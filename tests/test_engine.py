@@ -163,6 +163,18 @@ def test_mirror_trace_requires_complete_relaxed_trace():
         mirror_trace(run(g, Strategy(MODE_RID, ())))
 
 
+@pytest.mark.parametrize("state", [[0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 5], [0, -1, 0, 0],
+                                   [[0, 0, 0, 0]], [0.0, 0.0, 0.0, 0.0]])
+def test_step_rejects_malformed_states(state):
+    # a wrong length or a label outside 0..3 is an input error, never a
+    # traceback nor a silently stepped state
+    g = gen_path(4)
+    with pytest.raises(InputError):
+        step(g, np.array(state), Placement(0, Label.A))
+    with pytest.raises(InputError):
+        step(g, state, Placement(0, Label.A))
+
+
 def test_pending_signals():
     g = gen_cycle(5, [-1] * 5)
     state = step(g, StepContext(g).zeros_state(), Placement(0, Label.A))

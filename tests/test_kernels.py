@@ -167,7 +167,8 @@ def test_expand_matches_reference_on_mixed_states(signs):
 
 
 def test_run_never_builds_bit_masks():
-    # the neighbour masks take up to n^2/8 bytes; stepping needs only the CSR
+    # the neighbour masks take up to n^2/8 bytes; stepping reads only the
+    # per-vertex neighbour rows
     g = gen_path(4000)
     ctx = StepContext(g)
     strategy = Strategy(MODE_ID, [Placement(v, Label.A) for v in range(0, g.n, 3)])
@@ -181,6 +182,120 @@ def test_run_never_builds_bit_masks():
     assert "_masks" not in vars(ctx)
     # the trace itself keeps 1,334 snapshots of n bytes, about 5.3 MB
     assert peak < 2 * g.n * g.n // 4
+
+
+class CountingRows:
+    """A context's neighbour rows that count how many are read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.rows[v]
+
+
+def test_run_on_long_path_reads_a_few_rows_per_step():
+    # each step reads the rows of the vertices the last round informed
+    # (at most two on a path) and of the placed vertex, never all 2m entries
+    g = gen_path(4000)
+    ctx = StepContext(g)
+    rows = ctx._rows = CountingRows(g._adj)
+    strategy = Strategy(MODE_ID, [Placement(v, Label.A) for v in range(0, g.n, 3)])
+    assert run(g, strategy, ctx).complete
+    assert rows.reads <= 2 * g.n
+
+
+def test_step_outputs_are_read_only():
+    g = gen_cycle(6)
+    ctx = StepContext(g)
+    first = ctx.step(ctx.zeros_state(), 0, int(Label.A))
+    for out in (first, ctx.step(first, 3, int(Label.NEG_A)), run(g, Strategy(MODE_ID, [
+            Placement(0, Label.A), Placement(3, Label.A)])).final):
+        assert out.dtype == np.int8 and not out.flags.writeable
+        with pytest.raises(ValueError):
+            out.setflags(write=True)
+        with pytest.raises(ValueError):
+            out[0] = int(Label.ZERO)
+
+
+def chain_frontier_steps(g, mode, picks, branch_at):
+    """Step g through one context along picks ((index into the Zero
+    vertices, place -A in rID)), checking every step against a fresh
+    context (every transmitter a sender) and reference_step, and its
+    hearing against pending_signals; then branch twice from the state
+    after branch_at steps, which the context no longer holds, as
+    brute_oracle does. Returns the last state of the chain."""
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    states = [labels]
+
+    def checked_step(labels, v, info):
+        after = ctx.step(labels, v, info)
+        assert_identical(after, StepContext(g).step(labels, v, info))
+        assert_identical(after, reference_step(g, labels, v, info))
+        hears_p, hears_m = pending_signals(g, after)
+        zero = after == int(Label.ZERO)
+        heard = ctx.hearing(after)
+        assert np.array_equal(heard[zero] & 1 != 0, np.array(hears_p)[zero])
+        assert np.array_equal(heard[zero] & 2 != 0, np.array(hears_m)[zero])
+        return after
+
+    def pick(labels, index, neg):
+        zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
+        info = int(Label.NEG_A) if mode == MODE_RID and neg else int(Label.A)
+        return zeros[index % len(zeros)], info
+
+    for index, neg in picks:
+        if not (labels == int(Label.ZERO)).any():
+            break
+        labels = checked_step(labels, *pick(labels, index, neg))
+        states.append(labels)
+    base = states[min(branch_at, len(states) - 1)]
+    if (base == int(Label.ZERO)).any():
+        for index, neg in picks[:2]:
+            child = checked_step(base, *pick(base, index, neg))
+            if (child == int(Label.ZERO)).any():
+                checked_step(child, *pick(child, index, not neg))
+    return labels
+
+
+@st.composite
+def frontier_cases(draw):
+    n = draw(st.integers(3, 12))
+    g = gen_random_connected(draw(st.integers(0, 99999)), n, draw(st.sampled_from([0.3, 0.6])))
+    mode = draw(st.sampled_from([MODE_ID, MODE_RID]))
+    picks = draw(st.lists(st.tuples(st.integers(0, 11), st.booleans()), min_size=n, max_size=n))
+    return g, mode, picks, draw(st.integers(0, n))
+
+
+# Each case confuses a vertex with two Zero pendants, one of which is
+# placed next: a confused vertex sends nothing, so the other must stay
+# Zero. ID: the all-negative 5-cycle, A at 0 then at 2 confuses 3. rID:
+# the path 0-1-2-3 with pendants 4 and 5 at 2, A at 0 then -A at 3
+# confuses 2.
+CONFUSING_CASES = [
+    (SignedGraph.from_edge_list(7, [(0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 4, -1),
+                                    (0, 4, -1), (3, 5, 1), (3, 6, 1)]),
+     MODE_ID, [(0, False)] * 4, 1),
+    (SignedGraph.from_edge_list(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1)]),
+     MODE_RID, [(0, False), (1, True), (0, False), (0, False)], 1),
+]
+
+
+@pytest.mark.parametrize("case", CONFUSING_CASES)
+def test_frontier_cases_reach_confusion(case):
+    final = chain_frontier_steps(*case)
+    assert (final == int(Label.CONFUSED)).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(frontier_cases())
+@example(CONFUSING_CASES[0])
+@example(CONFUSING_CASES[1])
+def test_frontier_steps_match_fresh_context_and_reference(case):
+    chain_frontier_steps(*case)
 
 
 @st.composite
@@ -204,7 +319,7 @@ def reachable_states(draw):
 @settings(max_examples=150, deadline=None)
 @given(reachable_states())
 def test_bitset_children_equal_step_on_their_placements(case):
-    # the two rounds check each other: each bitset child is the CSR step
+    # the two rounds check each other: each bitset child is the frontier step
     g, labels, allow_neg = case
     ctx = StepContext(g)
     children, moves, ccounts = ctx.expand(pack(labels), allow_neg)
