@@ -14,16 +14,13 @@ and C vertices. neighbour_masks gives each vertex the bitsets of its
 positive and negative neighbours: hearing is the OR of the transmitters'
 masks, and a child a few bit operations against the Zero set.
 
-The switching scan behind the frustration index exists twice, compiled
-with numba and in pure numpy. The numpy scan builds the negative-edge
-count of all 2^(n-1) switchings in one table by doubling, one vertex at
-a time after a directly counted base table, in O(2^(n-1)) memory (a few bytes per switching) and
-O(2^(n-1)) time times one plus the average back-degree, and returns the
-minimum with every mask attaining it; graph.frustration_index
-refuses n > FRUSTRATION_SCAN_MAX_N (28) before the table exists. The
-environment variable SIGNEDSPREAD_BACKEND ("numba" or "numpy"; unset/auto
-picks numba when it is importable and numpy otherwise) chooses between
-the two; any other value, or "numba" without numba, raises BackendError.
+The switching scan behind the frustration index builds the negative-edge
+count of all 2^(n-1) switchings in one numpy table by doubling, one
+vertex at a time after a directly counted base table, in O(2^(n-1))
+memory (a few bytes per switching) and O(2^(n-1)) time times one plus
+the average back-degree, and returns the minimum with every mask
+attaining it; graph.frustration_index refuses
+n > FRUSTRATION_SCAN_MAX_N (28) before the table exists.
 
 Label codes: 0 = Zero (uninformed), 1 = A, 2 = -A, 3 = C (confused).
 A Zero vertex adopts the unique signed value it hears from informed
@@ -34,20 +31,19 @@ vertices transmit nothing. The placed vertex keeps its placed value.
 
 from __future__ import annotations
 
-import os
+import importlib.util
 
 import numpy as np
 
-from .errors import BackendError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
+# perfbench/run.py stamps these into each run's environment record; they
+# select nothing. ROADMAP item 1 deletes them with that stamp.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 ENV_FLAG = "SIGNEDSPREAD_BACKEND"
+
+
+def resolve_backend() -> str:
+    return "numpy"
+
 
 INFO_A = 1
 INFO_NEG_A = 2
@@ -55,20 +51,6 @@ INFO_NEG_A = 2
 # the switching scan counts the table of this many low mask bits directly:
 # below it, numpy's fixed cost per call outweighs the doubling's savings
 _BASE_BITS = 8
-
-
-def resolve_backend(override: str | None = None) -> str:
-    """Map an explicit override or the env flag to "numba" or "numpy"."""
-    req = (override or os.environ.get(ENV_FLAG, "auto") or "auto").strip().lower()
-    if req in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if req == "numba":
-        if not HAVE_NUMBA:
-            raise BackendError("backend 'numba' requested but numba is not importable")
-        return "numba"
-    if req == "numpy":
-        return "numpy"
-    raise BackendError(f"unknown backend {req!r} (expected 'numba' or 'numpy')")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +85,7 @@ def neighbour_masks(n, edges):
 
 
 # ---------------------------------------------------------------------------
-# pure-numpy switching scan
+# switching scan
 
 
 def frustration_scan_numpy(shift_u, shift_v, eneg, n_masks):
@@ -156,45 +138,3 @@ def frustration_scan_numpy(shift_u, shift_v, eneg, n_masks):
     best = int(counts.min())
     return best, np.flatnonzero(counts == best)
 
-
-# ---------------------------------------------------------------------------
-# numba switching scan
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def frustration_scan_numba(shift_u, shift_v, eneg, n_masks):
-        m = shift_u.shape[0]
-        best = m + 1
-        first_mask = 0
-        ties = 0
-        for mask in range(n_masks):
-            c = 0
-            for j in range(m):
-                flip = ((mask >> shift_u[j]) ^ (mask >> shift_v[j])) & 1
-                c += flip ^ eneg[j]
-                if c > best:
-                    break
-            if c < best:
-                best = c
-                first_mask = mask
-                ties = 1
-            elif c == best:
-                ties += 1
-        return best, first_mask, ties
-
-    @njit(cache=True)
-    def frustration_collect_numba(shift_u, shift_v, eneg, n_masks, target, out):
-        m = shift_u.shape[0]
-        k = 0
-        for mask in range(n_masks):
-            c = 0
-            for j in range(m):
-                flip = ((mask >> shift_u[j]) ^ (mask >> shift_v[j])) & 1
-                c += flip ^ eneg[j]
-                if c > target:
-                    break
-            if c == target:
-                out[k] = mask
-                k += 1
-        return k

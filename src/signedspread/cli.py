@@ -188,15 +188,15 @@ def _cmd_generate(args) -> int:
         g = gen_gst(s, t, flags)
     elif kind in ("cycle", "path"):
         (k,) = _size_args(args, 1, "length")
-        count = k if kind == "cycle" else k - 1
         if args.signs and args.all_negative:
             raise UsageError("--signs and --all-negative exclude each other")
         signs = None
         if args.signs:
-            signs = _parse_signs(args.signs, count)
-        elif args.all_negative:
-            signs = [-1] * count
+            signs = _parse_signs(args.signs, k if kind == "cycle" else k - 1)
         g = gen_cycle(k, signs) if kind == "cycle" else gen_path(k, signs)
+        if args.all_negative:
+            # negated after the generator's size check, not built before it
+            g = negate_signature(g)
     elif kind == "tree":
         (n,) = _size_args(args, 1, "n")
         if args.seed is None:

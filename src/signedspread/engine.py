@@ -94,8 +94,8 @@ class StepContext:
     On any other state every transmitter (A or -A) is a sender.
     """
 
-    # the tracer keys its step byte count on this; the round itself is
-    # plain Python, and numba serves only the frustration scan
+    # perfbench's tracer keys its step byte count on this; it selects
+    # nothing. ROADMAP item 1 deletes it with the tracer's reading.
     backend = "numpy"
 
     def __init__(self, g: SignedGraph):
@@ -258,7 +258,7 @@ def step(g: SignedGraph, state: np.ndarray, placement: Placement,
     if labels.dtype.kind not in "iu" or (g.n and not 0 <= labels.min() <= labels.max() <= 3):
         raise InputError("state labels must be integer codes 0..3")
     info = _check_placement(g, labels, placement)
-    return _freeze(ctx.step(labels.astype(np.int8, copy=False), placement.vertex, int(info)))
+    return ctx.step(labels.astype(np.int8, copy=False), placement.vertex, int(info))
 
 
 def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> Trace:
@@ -268,7 +268,7 @@ def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> T
     snapshots = [_freeze(labels.copy())]
     for idx, p in enumerate(strategy.placements, start=1):
         info = _check_placement(g, labels, p, strategy.mode, idx)
-        labels = _freeze(ctx.step(labels, p.vertex, int(info)))
+        labels = ctx.step(labels, p.vertex, int(info))
         snapshots.append(labels)
     complete = not bool((labels == int(Label.ZERO)).any())
     return Trace(graph=g, strategy=strategy, snapshots=tuple(snapshots), complete=complete)

@@ -13,10 +13,6 @@ class CapacityError(SignedSpreadError):
     """Instance exceeds the size cap of an exhaustive routine."""
 
 
-class BackendError(SignedSpreadError, RuntimeError):
-    """SIGNEDSPREAD_BACKEND names a kernel backend that cannot run here."""
-
-
 class StrategyError(SignedSpreadError):
     """A placement violates the process rules at some step."""
 

@@ -13,7 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import SignedGraph
+from .graph import JSON_MAX_N, SignedGraph
+
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse a graph of more than JSON_MAX_N vertices or edges before
+    its edge list is built; m counts every edge the generator builds,
+    or every pair it samples."""
+    for count, what in ((n, "vertices"), (m, "edges")):
+        if count > JSON_MAX_N:
+            raise InputError(f"{count} {what} exceed the graph limit of {JSON_MAX_N}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def gen_gn(n: int) -> SignedGraph:
@@ -22,6 +37,7 @@ def gen_gn(n: int) -> SignedGraph:
     if n < 6 or n % 2 != 0:
         raise InputError("gen_gn needs an even order n >= 6")
     k = n // 2
+    _check_size(n, k * k)
     edges = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -37,6 +53,7 @@ def gen_ktt_tau(t: int, negated: bool = False) -> SignedGraph:
     every sign."""
     if t < 3:
         raise InputError("gen_ktt_tau needs t >= 3")
+    _check_size(2 * t, t * t)
     edges = []
     for i in range(t):
         for j in range(t):
@@ -60,6 +77,7 @@ def gen_gst(s: int, t: int, layer_signs=None) -> SignedGraph:
         flags = tuple(bool(x) for x in layer_signs)
         if len(flags) != s:
             raise InputError(f"layer_signs must have length s={s}")
+    _check_size(s * t, s * t * t)
     edges = []
     for i in range(s):
         nxt = (i + 1) % s
@@ -113,6 +131,7 @@ def gen_cycle(k: int, signs=None) -> SignedGraph:
     defaulting to all positive."""
     if k < 3:
         raise InputError("gen_cycle needs k >= 3")
+    _check_size(k, k)
     ss = _sign_vector(signs, k)
     edges = [(i, (i + 1) % k, ss[i]) for i in range(k)]
     return SignedGraph.from_edge_list(k, edges)
@@ -122,6 +141,7 @@ def gen_path(n: int, signs=None) -> SignedGraph:
     """Path 0-1-...-n-1 with n-1 signs, defaulting to all positive."""
     if n < 1:
         raise InputError("gen_path needs n >= 1")
+    _check_size(n, n - 1)
     ss = _sign_vector(signs, n - 1)
     edges = [(i, i + 1, ss[i]) for i in range(n - 1)]
     return SignedGraph.from_edge_list(n, edges)
@@ -134,7 +154,8 @@ def gen_random_tree(seed: int, n: int, neg_prob: float = 0.5) -> SignedGraph:
         raise InputError("gen_random_tree needs n >= 1")
     if not 0.0 <= neg_prob <= 1.0:
         raise InputError("neg_prob must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    _check_size(n, n - 1)
+    rng = _rng(seed)
     edges = []
     for v in range(1, n):
         u = int(rng.integers(0, v))
@@ -157,7 +178,8 @@ def gen_random_connected(
     for name, p in (("edge_prob", edge_prob), ("neg_prob", neg_prob)):
         if not 0.0 <= p <= 1.0:
             raise InputError(f"{name} must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    _check_size(n, n * (n - 1) // 2)
+    rng = _rng(seed)
     for _ in range(max_tries):
         edges = []
         for u in range(n):

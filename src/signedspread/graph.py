@@ -323,11 +323,7 @@ def _smallest_witness_mask(shift_u, shift_v, eneg, masks) -> int:
     return int(masks[0])
 
 
-def frustration_index(
-    g: SignedGraph,
-    max_n: int = FRUSTRATION_MAX_N,
-    backend: str | None = None,
-):
+def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     """Minimum negative-edge count over the switching class, with witness.
 
     Returns (value, witness) where witness is the negative edge set of a
@@ -343,25 +339,10 @@ def frustration_index(
         return 0, frozenset()
     shift_u, shift_v, eneg = _edge_shift_arrays(g)
     n_masks = 1 << max(0, g.n - 1)
-    if _kernels.resolve_backend(backend) == "numpy":
-        best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, n_masks)
-    else:
-        best, first_mask, ties = _kernels.frustration_scan_numba(
-            shift_u, shift_v, eneg, n_masks
-        )
-        masks = [first_mask]
-        if best and ties > 1:
-            buf = np.empty(int(ties), dtype=np.int64)
-            k = _kernels.frustration_collect_numba(
-                shift_u, shift_v, eneg, n_masks, best, buf
-            )
-            masks = buf[:k]
-    best = int(best)
+    best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, n_masks)
     if best == 0:
         return 0, frozenset()
-    mask = int(masks[0])
-    if len(masks) > 1:
-        mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
+    mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
     # an edge is negative after the switch when its sign is, unless it is cut
     return best, frozenset(
         e[:2] for e, su, sv, neg in zip(g.edges, shift_u.tolist(), shift_v.tolist(), eneg.tolist())

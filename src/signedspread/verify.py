@@ -735,6 +735,8 @@ def random_instances(count: int = 100, max_n: int = 8, seed: int = 7):
         raise InputError(f"random instances need max_n >= 3, got {max_n}")
     if count < 0:
         raise InputError(f"random instance count must be >= 0, got {count}")
+    if seed < 0:
+        raise InputError(f"random instance seed must be >= 0, got {seed}")
     out = []
     for i in range(count):
         n = 3 + (i % (max_n - 2))  # 3..max_n

@@ -4,7 +4,6 @@ Every test shells out to a fresh interpreter, so these double as an
 install smoke test and as the contract for scripting against the tool.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -13,13 +12,13 @@ import sys
 import pytest
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None, env=None, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "signedspread", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
         env={**os.environ, **env} if env else None,
     )
 
@@ -125,16 +124,50 @@ def test_frustration_scan_ceiling_exit_1():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("backend", ["fortran", "numba"])
-@pytest.mark.parametrize("command", [["frustration"], ["verify", "--claim", "frustration_family"]])
-def test_bad_backend_exit_1(backend, command):
-    if backend == "numba" and importlib.util.find_spec("numba") is not None:
-        pytest.skip("numba is importable, so the backend is valid")
+def test_backend_env_var_changes_nothing(monkeypatch):
+    # no kernel is selectable: the variable is not read, whatever its value
     graph = run_cli("generate", "ktt", "3").stdout
-    proc = run_cli(*command, stdin=graph, env={"SIGNEDSPREAD_BACKEND": backend})
+    monkeypatch.delenv("SIGNEDSPREAD_BACKEND", raising=False)
+    unset = run_cli("frustration", stdin=graph)
+    odd = run_cli("frustration", stdin=graph, env={"SIGNEDSPREAD_BACKEND": "fortran"})
+    assert unset.returncode == odd.returncode == 0
+    assert odd.stdout == unset.stdout and odd.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate", "random", "5", "--seed", "-1"],
+        ["generate", "tree", "5", "--seed", "-1"],
+        ["explore-conjecture", "conj1", "--seed", "-1", "--random", "2", "--max-n", "6"],
+    ],
+)
+def test_negative_seed_exit_1(command):
+    proc = run_cli(*command)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-    assert "backend" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        ["random", "3000000", "--seed", "1"],  # 3e6 vertices
+        ["random", "1500", "--seed", "1"],  # 1,124,250 pairs to sample
+        ["tree", "2000000", "--seed", "1"],
+        ["gn", "4000000"],
+        ["gn", "2002"],  # 1,002,001 edges
+        ["ktt", "2000"],
+        ["gst", "3", "1000"],
+        ["path", "2000000"],
+        ["cycle", "2000000"],
+        ["cycle", "10000000000", "--all-negative"],  # no sign list built first
+    ],
+)
+def test_oversized_generate_exit_1(size):
+    # refused before the edge list is built, so well inside the timeout
+    proc = run_cli("generate", *size, timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "exceed the graph limit" in proc.stderr
 
 
 @pytest.mark.parametrize(

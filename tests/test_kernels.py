@@ -13,30 +13,14 @@ from signedspread.engine import (
     StepContext,
     Strategy,
     run,
+    step,
 )
 from signedspread.families import gen_cycle, gen_ktt_tau, gen_path, gen_random_connected
-from signedspread.graph import SignedGraph, _edge_shift_arrays, frustration_index
+from signedspread.graph import SignedGraph, _edge_shift_arrays
 from signedspread.solver import exact_confusion, exact_relaxed_confusion, min_steps
 from signedspread.symmetry import automorphisms
 
 from plain_search import pack, pending_signals, unpack
-
-
-def test_resolve_backend(monkeypatch):
-    monkeypatch.delenv(_kernels.ENV_FLAG, raising=False)
-    assert _kernels.resolve_backend() in ("numba", "numpy")
-    assert _kernels.resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv(_kernels.ENV_FLAG, "numpy")
-    assert _kernels.resolve_backend() == "numpy"
-    monkeypatch.setenv(_kernels.ENV_FLAG, "auto")
-    assert _kernels.resolve_backend() in ("numba", "numpy")
-    with pytest.raises(RuntimeError):
-        _kernels.resolve_backend("fortran")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.resolve_backend("numba") == "numba"
-
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
 
 
 def reference_step(g, labels, v, info):
@@ -212,7 +196,8 @@ def test_step_outputs_are_read_only():
     ctx = StepContext(g)
     first = ctx.step(ctx.zeros_state(), 0, int(Label.A))
     for out in (first, ctx.step(first, 3, int(Label.NEG_A)), run(g, Strategy(MODE_ID, [
-            Placement(0, Label.A), Placement(3, Label.A)])).final):
+            Placement(0, Label.A), Placement(3, Label.A)])).final,
+            step(g, [0] * g.n, Placement(2, Label.A))):
         assert out.dtype == np.int8 and not out.flags.writeable
         with pytest.raises(ValueError):
             out.setflags(write=True)
@@ -368,16 +353,6 @@ def test_step_optimum_and_group_invariant_under_relabeling(seed, n, rnd):
         assert len(group_g) == len(group_h)
 
 
-@needs_numba
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 5000), st.integers(3, 8))
-def test_frustration_backend_parity(seed, n):
-    g = gen_random_connected(seed, n)
-    assert (
-        frustration_index(g, backend="numpy") == frustration_index(g, backend="numba")
-    )
-
-
 @st.composite
 def signed_edge_lists(draw):
     """(n, edges) on n = 1..10 vertices, any subset of the pairs: edges at
@@ -434,13 +409,3 @@ def test_expand_row_order_is_lexicographic():
     assert len(moves) == 2 * g.n
     assert len(children) == 2 * g.n
     assert len(ccounts) == 2 * g.n
-
-
-def test_context_backend_ignores_env_flag(monkeypatch):
-    # the flag picks the frustration scan only; the round is always numpy
-    g = gen_random_connected(5, 6)
-    monkeypatch.setenv(_kernels.ENV_FLAG, "numba")
-    ctx = StepContext(g)
-    assert ctx.backend == "numpy"
-    after = ctx.step(ctx.zeros_state(), 0, int(Label.A))
-    assert_identical(after, reference_step(g, ctx.zeros_state(), 0, int(Label.A)))
