@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,10 @@ def test_run_suite_statuses():
     by_status = {r.claim_id: r.status for r in results}
     assert {cid for cid, s in by_status.items() if s == "fail"} == EXPECTED_RED
     assert all(s == "pass" for cid, s in by_status.items() if cid not in EXPECTED_RED)
+    # every field, text included, is frozen: a refactor of the registry
+    # must report each claim byte for byte as before
+    golden = json.loads((Path(__file__).parent / "data" / "suite.json").read_text())
+    assert [r.to_json() for r in results] == golden
 
 
 def test_run_suite_zero_budget_skips_everything():
