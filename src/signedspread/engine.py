@@ -18,7 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError, StrategyError
 from .graph import SignedGraph, graph_to_json, negate_signature
 
@@ -77,12 +76,39 @@ class Strategy:
         object.__setattr__(self, "placements", tuple(self.placements))
 
 
+def _heard(rows, labels, senders):
+    """{Zero vertex: hearing bits} of what the senders send (1: hears A,
+    2: hears -A, 3: both). rows[v] lists v's (neighbour, edge sign)
+    pairs; labels is indexable by vertex (bytes or a bytearray of label
+    codes) and gives each sender's value, A or -A."""
+    out = {}
+    get = out.get
+    for s in senders:
+        # the edge sign under which s's value arrives as A
+        sends_a = 1 if labels[s] == _A else -1
+        for w, sign in rows[s]:
+            if not labels[w]:
+                out[w] = get(w, 0) | (_A if sign == sends_a else _NEG_A)
+    return out
+
+
+def _neighbour_masks(n, edges):
+    """(pos, neg): per-vertex bitsets of the positive and of the negative
+    neighbours, bit w of pos[v] set when v and w share a positive edge."""
+    pos, neg = [0] * n, [0] * n
+    for u, v, s in edges:
+        side = pos if s > 0 else neg
+        side[u] |= 1 << v
+        side[v] |= 1 << u
+    return pos, neg
+
+
 class StepContext:
     """Per-graph adjacency for the broadcast round. step and hearing run
     on int8 label arrays over the graph's per-vertex (neighbour, sign)
     rows, O(n + m) memory at any n; expand runs on bitset states, ints
     a | b << n | c << 2n over the sets a, b and c of A, -A and C
-    vertices, with the neighbour masks of _kernels.neighbour_masks (up
+    vertices, with the neighbour masks of _neighbour_masks (up
     to n^2/8 bytes), built on its first call. run, simulate and the
     greedy policies never build the masks.
 
@@ -105,13 +131,8 @@ class StepContext:
         self._last = None
 
     @cached_property
-    def _rows(self):
-        # per vertex, its (neighbour, edge sign) pairs, shared with the graph
-        return self.graph._adj
-
-    @cached_property
     def _masks(self):
-        return _kernels.neighbour_masks(self.graph.n, self.graph.edges)
+        return _neighbour_masks(self.graph.n, self.graph.edges)
 
     def zeros_state(self) -> np.ndarray:
         return np.zeros(self.graph.n, dtype=np.int8)
@@ -128,7 +149,7 @@ class StepContext:
         senders = self._senders(labels)
         buf = bytearray(labels.tobytes())
         buf[vertex] = info
-        heard = _kernels.heard(self._rows, buf, senders + [vertex])
+        heard = _heard(self.graph._adj, buf, senders + [vertex])
         for w, bits in heard.items():
             buf[w] = bits  # the hearing bits are the label codes A, -A, C
         out = np.frombuffer(bytes(buf), dtype=np.int8)
@@ -138,7 +159,7 @@ class StepContext:
     def hearing(self, labels: np.ndarray) -> np.ndarray:
         """Hearing bits (1: hears A, 2: hears -A, 3: both) of the Zero
         vertices under the signals labels sends, 0 elsewhere."""
-        heard = _kernels.heard(self._rows, labels.tobytes(), self._senders(labels))
+        heard = _heard(self.graph._adj, labels.tobytes(), self._senders(labels))
         out = np.zeros(self.graph.n, dtype=np.int8)
         out[list(heard)] = list(heard.values())
         return out

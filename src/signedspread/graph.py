@@ -129,30 +129,6 @@ class SignedGraph:
         return len(seen) == self.n
 
 
-def distance_table(g: SignedGraph) -> np.ndarray:
-    """All-pairs path lengths (signs ignored) as an n x n int32 table,
-    by one BFS per source; pairs in different components hold n."""
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    rows = []
-    for s in range(n):
-        dist = [n] * n
-        dist[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if dist[w] == n:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        rows.append(dist)
-    return np.array(rows, dtype=np.int32).reshape(n, n)
-
-
 @dataclass(frozen=True)
 class BalancePartition:
     """The two sides of a balance 2-coloring, each a sorted vertex tuple."""

@@ -33,7 +33,6 @@ from .families import (
 from .graph import (
     FRUSTRATION_MAX_N,
     SignedGraph,
-    distance_table,
     frustration_index,
     graph_to_json,
     is_antibalanced,
@@ -101,16 +100,6 @@ def _all_sign(g: SignedGraph, sign: int) -> SignedGraph:
     return SignedGraph.from_edge_list(g.n, [(u, v, sign) for u, v, _ in g.edges])
 
 
-def _complete(n: int, seed: int) -> SignedGraph:
-    """Complete graph with independent fair random signs."""
-    rng = _nprandom.default_rng(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges.append((u, v, -1 if rng.random() < 0.5 else 1))
-    return SignedGraph.from_edge_list(n, edges)
-
-
 def _drop_edge(g: SignedGraph, u: int, v: int) -> SignedGraph:
     edges = [(a, b, s) for a, b, s in g.edges if (a, b) != (min(u, v), max(u, v))]
     return SignedGraph.from_edge_list(g.n, edges)
@@ -172,6 +161,25 @@ def _aggregate(claim_id, instance, expected, checks, repro=""):
     )
 
 
+# claim id -> claim(budget, **params) -> ClaimResult
+CLAIMS = {}
+
+
+def _claim(claim_id, instance, expected, repro):
+    """Register the decorated body as claim_id. The body takes the
+    budget and any keyword-only params and returns its (label, ok, note)
+    checks; instance may name those params, as "t={t}" does, and is
+    formatted from the body's defaults overridden by the caller's."""
+    def register(body):
+        def claim(budget, **params):
+            checks = body(budget, **params)
+            text = instance.format(**{**(body.__kwdefaults__ or {}), **params})
+            return _aggregate(claim_id, text, expected, checks, repro)
+        CLAIMS[claim_id] = claim
+        return body
+    return register
+
+
 # ---------------------------------------------------------------------------
 # checks: each returns one (label, ok, note) triple for _aggregate
 
@@ -199,55 +207,49 @@ def _policy(label, g, policy, bound, exact=False):
 # claims: exact family values
 
 
-def _claim_gn_balance(budget: Budget) -> ClaimResult:
+@_claim("gn_balance", "gn(n in [6, 8])",
+        "matching signature balanced; negation antibalanced",
+        "signedspread generate gn 6 | signedspread balance")
+def _gn_balance(budget: Budget) -> list:
     checks = []
     for n in (6, 8):
         g = gen_gn(n)
         checks.append((f"gn(n={n}) balanced", is_balanced(g) is not None, "no partition"))
         anti = is_antibalanced(negate_signature(g)) is not None
         checks.append((f"gn(n={n}) negated antibalanced", anti, "no partition"))
-    return _aggregate(
-        "gn_balance",
-        "gn(n in [6, 8])",
-        "matching signature balanced; negation antibalanced",
-        checks,
-        repro="signedspread generate gn 6 | signedspread balance",
-    )
+    return checks
 
 
-def _claim_gn_confusion(budget: Budget) -> ClaimResult:
+@_claim("gn_confusion", "gn(n in [6, 8, 10]) and all-negative twins",
+        "confusion = n/2 - 2",
+        "signedspread generate gn 6 | signedspread solve --exact")
+def _gn_confusion(budget: Budget) -> list:
     checks = []
     for n in (6, 8, 10):
         want = n // 2 - 2
         checks.append(_value(f"gn(n={n})", _opt(exact_confusion(gen_gn(n), budget)), want))
         got_neg = _opt(exact_confusion(_all_sign(gen_gn(n), -1), budget))
         checks.append(_value(f"gn(n={n}) all-negative", got_neg, want))
-    return _aggregate(
-        "gn_confusion",
-        "gn(n in [6, 8, 10]) and all-negative twins",
-        "confusion = n/2 - 2",
-        checks,
-        repro="signedspread generate gn 6 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_gn_confusion_zero(budget: Budget) -> ClaimResult:
+@_claim("gn_confusion_zero", "gn(n in [6, 8, 10]) negated and all-positive twins",
+        "confusion = 0",
+        "signedspread generate gn 6 | signedspread switch --negate | signedspread solve --exact")
+def _gn_confusion_zero(budget: Budget) -> list:
     checks = []
     for n in (6, 8, 10):
         got = _opt(exact_confusion(negate_signature(gen_gn(n)), budget))
         checks.append(_value(f"gn(n={n}) negated", got, 0))
         got_pos = _opt(exact_confusion(_all_sign(gen_gn(n), 1), budget))
         checks.append(_value(f"gn(n={n}) all-positive", got_pos, 0))
-    return _aggregate(
-        "gn_confusion_zero",
-        "gn(n in [6, 8, 10]) negated and all-positive twins",
-        "confusion = 0",
-        checks,
-        repro="signedspread generate gn 6 | signedspread switch --negate | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_balanced_bound(budget: Budget) -> ClaimResult:
+@_claim("balanced_bound", "8 random balanced (n in 4..10) + attainment instances",
+        "balanced implies confusion <= n/2 - 2; equality at the twin-clique family",
+        "signedspread generate gn 8 | signedspread solve --exact")
+def _balanced_bound(budget: Budget) -> list:
     checks = []
     for i in range(8):
         n = 4 + i % 7  # 4..10
@@ -263,16 +265,13 @@ def _claim_balanced_bound(budget: Budget) -> ClaimResult:
         checks.append(_value(f"attained gn(n={n})", got, n // 2 - 2))
     got4 = _opt(exact_confusion(gen_cycle(4), budget))
     checks.append(_value("attained cycle(4) all-positive", got4, 0))
-    return _aggregate(
-        "balanced_bound",
-        "8 random balanced (n in 4..10) + attainment instances",
-        "balanced implies confusion <= n/2 - 2; equality at the twin-clique family",
-        checks,
-        repro="signedspread generate gn 8 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_tree_zero(budget: Budget) -> ClaimResult:
+@_claim("tree_zero", "5 random signed trees, n <= 10",
+        "confusion = 0",
+        "signedspread generate tree 9 --seed 200 | signedspread solve --exact")
+def _tree_zero(budget: Budget) -> list:
     checks = []
     for i, n in enumerate((5, 7, 8, 9, 10)):
         g = gen_random_tree(200 + i, n)
@@ -281,32 +280,25 @@ def _claim_tree_zero(budget: Budget) -> ClaimResult:
         checks.append(
             _policy(f"frontier policy seed={200 + i}", g, tree_frontier, 0, exact=True)
         )
-    return _aggregate(
-        "tree_zero",
-        "5 random signed trees, n <= 10",
-        "confusion = 0",
-        checks,
-        repro="signedspread generate tree 9 --seed 200 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_c5_allneg(budget: Budget) -> ClaimResult:
+@_claim("c5_allneg", "cycle(5) all-negative",
+        "confusion = 1",
+        "signedspread generate cycle 5 --all-negative | signedspread solve --exact")
+def _c5_allneg(budget: Budget) -> list:
     g = gen_cycle(5, [-1] * 5)
-    checks = [
+    return [
         _value("exact", _opt(exact_confusion(g, budget)), 1),
         _value("oracle", brute_oracle(g, MODE_ID), 1),
         _policy("strategy concedes exactly one", g, circuit_strategy, 1, exact=True),
     ]
-    return _aggregate(
-        "c5_allneg",
-        "cycle(5) all-negative",
-        "confusion = 1",
-        checks,
-        repro="signedspread generate cycle 5 --all-negative | signedspread solve --exact",
-    )
 
 
-def _claim_circuit_values(budget: Budget) -> ClaimResult:
+@_claim("circuit_values", "cycles k in [3, 4, 5, 6, 7, 8], every signature",
+        "confusion = 0 except the all-negative 5-cycle (= 1); strategy matches",
+        "signedspread generate cycle 7 | signedspread solve --exact")
+def _circuit_values(budget: Budget) -> list:
     checks = []
     for k in range(3, 9):
         bad = []
@@ -321,35 +313,30 @@ def _claim_circuit_values(budget: Budget) -> ClaimResult:
             if not ok:
                 bad.append(f"{label}: {note}")
         checks.append((f"cycle(k={k}), {1 << k} signatures", not bad, "; ".join(bad[:3])))
-    return _aggregate(
-        "circuit_values",
-        "cycles k in [3, 4, 5, 6, 7, 8], every signature",
-        "confusion = 0 except the all-negative 5-cycle (= 1); strategy matches",
-        checks,
-        repro="signedspread generate cycle 7 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_maxdeg_zero(budget: Budget) -> ClaimResult:
+@_claim("maxdeg_zero", "random-signed complete graphs and near-complete graphs, n in 5..7",
+        "max degree >= n - 2 implies confusion = 0",
+        "signedspread generate random 7 --seed 33 --edge-prob 1.0 | signedspread solve --exact")
+def _maxdeg_zero(budget: Budget) -> list:
     checks = []
     for n, seed in ((5, 31), (6, 32), (7, 33)):
-        got = _opt(exact_confusion(_complete(n, seed), budget))
+        got = _opt(exact_confusion(gen_random_connected(seed, n, edge_prob=1.0), budget))
         checks.append(_value(f"complete n={n}", got, 0))
     for n, seed in ((6, 41), (7, 42)):
-        g = _drop_edge(_complete(n, seed), 0, 1)
+        g = _drop_edge(gen_random_connected(seed, n, edge_prob=1.0), 0, 1)
         got = _opt(exact_confusion(g, budget))
         checks.append(_value(f"complete minus one edge n={n}", got, 0))
         checks.append(_policy(f"policy n={n}", g, max_degree_first, 0, exact=True))
-    return _aggregate(
-        "maxdeg_zero",
-        "random-signed complete graphs and near-complete graphs, n in 5..7",
-        "max degree >= n - 2 implies confusion = 0",
-        checks,
-        repro="signedspread generate random 7 --seed 33 --edge-prob 1.0 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_maxdeg_bound(budget: Budget) -> ClaimResult:
+@_claim("maxdeg_bound",
+        "10 random connected (3 <= maxdeg < n-2, n <= 10) + twin-clique attainment",
+        "confusion <= n - 2 - maxdeg, tight on the twin-clique family",
+        "signedspread generate random 8 --seed 300 | signedspread solve --exact")
+def _maxdeg_bound(budget: Budget) -> list:
     checks = []
     picked = 0
     seed = 300
@@ -369,31 +356,25 @@ def _claim_maxdeg_bound(budget: Budget) -> ClaimResult:
         g = gen_gn(n)
         got = _opt(exact_confusion(g, budget))
         checks.append(_value(f"attained gn(n={n})", got, n - 2 - g.max_degree()))
-    return _aggregate(
-        "maxdeg_bound",
-        "10 random connected (3 <= maxdeg < n-2, n <= 10) + twin-clique attainment",
-        "confusion <= n - 2 - maxdeg, tight on the twin-clique family",
-        checks,
-        repro="signedspread generate random 8 --seed 300 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_maxdeg_ratio(budget: Budget) -> ClaimResult:
+@_claim("maxdeg_ratio", "8 random connected graphs, maxdeg >= 3, n <= 10",
+        "confusion and rescue-policy trace <= (1 - 2/maxdeg) * n",
+        "signedspread generate random 9 --seed 500 | signedspread solve --greedy rescue_priority")
+def _maxdeg_ratio(budget: Budget) -> list:
     checks = []
     for label, g in _corpus(8, 500, 6, 10, min_maxdeg=3):
         bound = (1.0 - 2.0 / g.max_degree()) * g.n
         checks.append(_at_most(label, _opt(exact_confusion(g, budget)), bound))
         checks.append(_policy(f"rescue policy {label}", g, rescue_priority, bound))
-    return _aggregate(
-        "maxdeg_ratio",
-        "8 random connected graphs, maxdeg >= 3, n <= 10",
-        "confusion and rescue-policy trace <= (1 - 2/maxdeg) * n",
-        checks,
-        repro="signedspread generate random 9 --seed 500 | signedspread solve --greedy rescue_priority",
-    )
+    return checks
 
 
-def _claim_gst_confusion(budget: Budget, t=3) -> ClaimResult:
+@_claim("gst_confusion", "layered ring family, s in (4,5,6), t={t}",
+        "confusion = n/2-3 (s=4), 3n/5-4 (s=5), n/2-4 (s=6)",
+        "signedspread generate gst 4 3 | signedspread solve --exact")
+def _gst_confusion(budget: Budget, *, t=3) -> list:
     checks = []
     for s, want in ((4, 2 * t - 3), (5, 3 * t - 4), (6, 3 * t - 4)):
         got = _opt(exact_confusion(gen_gst(s, t), _cap(budget, s * t)))
@@ -401,34 +382,27 @@ def _claim_gst_confusion(budget: Budget, t=3) -> ClaimResult:
     for flags in ((True, False, True, True, False), (False, False, True, False, True)):
         got = _opt(exact_confusion(gen_gst(5, t, flags), _cap(budget, 5 * t)))
         checks.append(_value(f"gst(s=5, t={t}, flags={flags})", got, 3 * t - 4))
-    return _aggregate(
-        "gst_confusion",
-        f"layered ring family, s in (4,5,6), t={t}",
-        "confusion = n/2-3 (s=4), 3n/5-4 (s=5), n/2-4 (s=6)",
-        checks,
-        repro="signedspread generate gst 4 3 | signedspread solve --exact",
-    )
+    return checks
 
 
-def _claim_ktt_confusion(budget: Budget) -> ClaimResult:
-    checks = [
+@_claim("ktt_confusion", "matched bipartite family, t in [3, 4, 5]",
+        "confusion = t - 2",
+        "signedspread generate ktt 4 | signedspread solve --exact")
+def _ktt_confusion(budget: Budget) -> list:
+    return [
         _value(f"ktt(t={t})", _opt(exact_confusion(gen_ktt_tau(t), budget)), t - 2)
         for t in (3, 4, 5)
     ]
-    return _aggregate(
-        "ktt_confusion",
-        "matched bipartite family, t in [3, 4, 5]",
-        "confusion = t - 2",
-        checks,
-        repro="signedspread generate ktt 4 | signedspread solve --exact",
-    )
 
 
 # ---------------------------------------------------------------------------
 # claims: relaxed mode
 
 
-def _claim_relaxed_switch_invariance(budget: Budget) -> ClaimResult:
+@_claim("relaxed_switch_invariance", "6 random graphs x 5 random switchings, n <= 8",
+        "relaxed confusion invariant under switching",
+        "signedspread generate random 7 --seed 400 | signedspread solve --relaxed")
+def _relaxed_switch_invariance(budget: Budget) -> list:
     checks = []
     for idx, (label, g) in enumerate(_corpus(6, 400, 5, 8)):
         base = _opt(exact_relaxed_confusion(g, budget))
@@ -441,30 +415,24 @@ def _claim_relaxed_switch_invariance(budget: Budget) -> ClaimResult:
                 check = _value(f"{label} switch {sorted(members)}", got, base)
                 break
         checks.append(check)
-    return _aggregate(
-        "relaxed_switch_invariance",
-        "6 random graphs x 5 random switchings, n <= 8",
-        "relaxed confusion invariant under switching",
-        checks,
-        repro="signedspread generate random 7 --seed 400 | signedspread solve --relaxed",
-    )
+    return checks
 
 
-def _claim_relaxed_class_min(budget: Budget) -> ClaimResult:
+@_claim("relaxed_class_min", "6 random connected graphs, n <= 8",
+        "relaxed optimum = min confusion over the switching class",
+        "signedspread generate random 7 --seed 420 | signedspread solve --via-class")
+def _relaxed_class_min(budget: Budget) -> list:
     checks = []
     for label, g in _corpus(6, 420, 5, 8):
         direct = _opt(exact_relaxed_confusion(g, budget))
         checks.append(_value(label, _opt(relaxed_via_class(g, budget)), direct))
-    return _aggregate(
-        "relaxed_class_min",
-        "6 random connected graphs, n <= 8",
-        "relaxed optimum = min confusion over the switching class",
-        checks,
-        repro="signedspread generate random 7 --seed 420 | signedspread solve --via-class",
-    )
+    return checks
 
 
-def _claim_relaxed_negation(budget: Budget) -> ClaimResult:
+@_claim("relaxed_negation", "6 random connected graphs, n <= 8",
+        "relaxed confusion equal under signature negation; mirrored witness replays",
+        "signedspread generate random 7 --seed 440 | signedspread solve --relaxed")
+def _relaxed_negation(budget: Budget) -> list:
     checks = []
     for label, g in _corpus(6, 440, 5, 8):
         rep = exact_relaxed_confusion(g, budget)
@@ -482,16 +450,13 @@ def _claim_relaxed_negation(budget: Budget) -> ClaimResult:
             and replay == mirrored
         )
         checks.append((label, ok, "mirror replay mismatch"))
-    return _aggregate(
-        "relaxed_negation",
-        "6 random connected graphs, n <= 8",
-        "relaxed confusion equal under signature negation; mirrored witness replays",
-        checks,
-        repro="signedspread generate random 7 --seed 440 | signedspread solve --relaxed",
-    )
+    return checks
 
 
-def _claim_relaxed_balanced_zero(budget: Budget) -> ClaimResult:
+@_claim("relaxed_balanced_zero", "10 random balanced + 10 antibalanced graphs, n <= 10",
+        "relaxed confusion = 0",
+        "signedspread generate gn 8 | signedspread solve --relaxed")
+def _relaxed_balanced_zero(budget: Budget) -> list:
     checks = []
     for i in range(10):
         n = 5 + (i % 6)  # 5..10
@@ -500,16 +465,14 @@ def _claim_relaxed_balanced_zero(budget: Budget) -> ClaimResult:
         checks.append(_value(f"balanced seed={600 + i} n={n}", got, 0))
         got_a = _opt(exact_relaxed_confusion(negate_signature(g), budget))
         checks.append(_value(f"antibalanced seed={600 + i} n={n}", got_a, 0))
-    return _aggregate(
-        "relaxed_balanced_zero",
-        "10 random balanced + 10 antibalanced graphs, n <= 10",
-        "relaxed confusion = 0",
-        checks,
-        repro="signedspread generate gn 8 | signedspread solve --relaxed",
-    )
+    return checks
 
 
-def _claim_relaxed_transfer(budget: Budget) -> ClaimResult:
+@_claim("relaxed_transfer",
+        "trees, all-negative cycles, one-negative-edge graphs, bounded-degree corpus",
+        "relaxed confusion: 0 on trees/circuits/frustration<=1; degree bounds transfer",
+        "signedspread generate cycle 5 --all-negative | signedspread solve --relaxed")
+def _relaxed_transfer(budget: Budget) -> list:
     checks = []
     for seed, n in ((210, 6), (211, 8), (212, 10)):
         got = _opt(exact_relaxed_confusion(gen_random_tree(seed, n), budget))
@@ -532,16 +495,13 @@ def _claim_relaxed_transfer(budget: Budget) -> ClaimResult:
         got = _opt(exact_relaxed_confusion(g, budget))
         want = g.n - 2 - g.max_degree()
         checks.append(_value(f"degree-gap attained ktt(t={t})", got, want))
-    return _aggregate(
-        "relaxed_transfer",
-        "trees, all-negative cycles, one-negative-edge graphs, bounded-degree corpus",
-        "relaxed confusion: 0 on trees/circuits/frustration<=1; degree bounds transfer",
-        checks,
-        repro="signedspread generate cycle 5 --all-negative | signedspread solve --relaxed",
-    )
+    return checks
 
 
-def _claim_relaxed_families(budget: Budget, t=3) -> ClaimResult:
+@_claim("relaxed_families", "matched bipartite t in (3,4); layered ring s in (4,5,6), t={t}",
+        "relaxed values equal the strict ones on these families",
+        "signedspread generate gst 4 3 | signedspread solve --relaxed")
+def _relaxed_families(budget: Budget, *, t=3) -> list:
     checks = []
     for tt in (3, 4):
         got = _opt(exact_relaxed_confusion(gen_ktt_tau(tt), budget))
@@ -549,16 +509,13 @@ def _claim_relaxed_families(budget: Budget, t=3) -> ClaimResult:
     for s, want in ((4, 2 * t - 3), (5, 3 * t - 4), (6, 3 * t - 4)):
         got = _opt(exact_relaxed_confusion(gen_gst(s, t), _cap(budget, s * t)))
         checks.append(_value(f"gst(s={s}, t={t}) relaxed", got, want))
-    return _aggregate(
-        "relaxed_families",
-        f"matched bipartite t in (3,4); layered ring s in (4,5,6), t={t}",
-        "relaxed values equal the strict ones on these families",
-        checks,
-        repro="signedspread generate gst 4 3 | signedspread solve --relaxed",
-    )
+    return checks
 
 
-def _claim_frustration_family(budget: Budget) -> ClaimResult:
+@_claim("frustration_family", "matched bipartite family, t in [3, 4, 5, 6]",
+        "frustration = t; relaxed/frustration = (t-2)/t, strictly increasing",
+        "signedspread generate ktt 4 | signedspread frustration")
+def _frustration_family(budget: Budget) -> list:
     checks = []
     ratios = []
     ts = (3, 4, 5, 6)
@@ -576,13 +533,7 @@ def _claim_frustration_family(budget: Budget) -> ClaimResult:
     checks.append(("ratio strictly increases toward 1", rising, f"{ratios}"))
     oracle = min_deletion_balancing(gen_ktt_tau(3))
     checks.append(("deletion oracle ktt(t=3)", oracle[0] == 3, f"oracle {oracle[0]}"))
-    return _aggregate(
-        "frustration_family",
-        "matched bipartite family, t in [3, 4, 5, 6]",
-        "frustration = t; relaxed/frustration = (t-2)/t, strictly increasing",
-        checks,
-        repro="signedspread generate ktt 4 | signedspread frustration",
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -601,33 +552,39 @@ def burning_number_brute(g: SignedGraph, max_n: int = 18) -> int:
     if not g.connected():
         raise InputError("burning_number_brute expects a connected graph")
     n = g.n
-    dist = distance_table(g)
     full = (1 << n) - 1
+    # balls[r][v]: the vertices within distance r of v, as a bitset
+    balls = [[1 << v for v in range(n)]]
+
+    def covers(k, i, covered):
+        # center i of k burns with radius k - 1 - i
+        if covered == full:
+            return True
+        if i == k:
+            return False
+        for ball in balls[k - 1 - i]:
+            nb = covered | ball
+            if nb != covered and covers(k, i + 1, nb):
+                return True
+        return False
 
     for k in range(1, n + 1):
-        balls = []
-        for r in range(k):
-            balls.append(
-                [int(sum(1 << u for u in range(n) if dist[v, u] <= r)) for v in range(n)]
-            )
-
-        def dfs(i, covered):
-            if covered == full:
-                return True
-            if i == k:
-                return False
-            for v in range(n):
-                nb = covered | balls[k - 1 - i][v]
-                if nb != covered and dfs(i + 1, nb):
-                    return True
-            return False
-
-        if dfs(0, 0):
+        if covers(k, 0, 0):
             return k
+        # B(v, k) joins B(v, k - 1) with B(u, k - 1) of each neighbour u
+        prev = balls[-1]
+        ball = list(prev)
+        for u, v, _ in g.edges:
+            ball[u] |= prev[v]
+            ball[v] |= prev[u]
+        balls.append(ball)
     return n
 
 
-def _claim_burning_relation(budget: Budget) -> ClaimResult:
+@_claim("burning_relation", "all-positive paths and cycles, n in 4..16",
+        "minimum step count within {burning - 1, burning}",
+        "signedspread generate path 9 | signedspread solve --min-steps")
+def _burning_relation(budget: Budget) -> list:
     cap = _cap(budget, 16)
     solved = []  # (label, graph, min_steps report)
     for n in range(4, 17):
@@ -645,13 +602,7 @@ def _claim_burning_relation(budget: Budget) -> ClaimResult:
         checks.append(
             (label, k.optimal and b - 1 <= k.steps <= b, f"steps {k.steps} outside [{b - 1}, {b}]")
         )
-    return _aggregate(
-        "burning_relation",
-        "all-positive paths and cycles, n in 4..16",
-        "minimum step count within {burning - 1, burning}",
-        checks,
-        repro="signedspread generate path 9 | signedspread solve --min-steps",
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -689,45 +640,21 @@ def family_instances(max_n: int = 12):
     """Every family instance of order at most max_n, labeled."""
     if max_n < 3:
         raise InputError(f"family instances need max_n >= 3, got {max_n}")
-    out = []
-    for n in range(6, max_n + 1, 2):
-        out.append((FamilySpec.make("gn", n=n), gen_gn(n)))
-    t = 3
-    while 2 * t <= max_n:
-        out.append((FamilySpec.make("ktt_tau", t=t), gen_ktt_tau(t)))
-        out.append(
-            (FamilySpec.make("ktt_tau", t=t, negated=True), gen_ktt_tau(t, True))
-        )
-        t += 1
-    for s, tt in ((3, 3), (3, 4), (4, 3)):
-        if s * tt <= max_n:
-            out.append((FamilySpec.make("gst", s=s, t=tt), gen_gst(s, tt)))
-    mixed = (True, False, True)
+    make = FamilySpec.make
+    specs = [make("gn", n=n) for n in range(6, max_n + 1, 2)]
+    for t in range(3, max_n // 2 + 1):
+        specs += [make("ktt_tau", t=t), make("ktt_tau", t=t, negated=True)]
+    specs += [make("gst", s=s, t=t) for s, t in ((3, 3), (3, 4), (4, 3)) if s * t <= max_n]
     if 9 <= max_n:
-        out.append(
-            (FamilySpec.make("gst", s=3, t=3, layer_signs=mixed), gen_gst(3, 3, mixed))
-        )
+        specs.append(make("gst", s=3, t=3, layer_signs=(True, False, True)))
     for k in range(3, min(8, max_n) + 1):
-        out.append((FamilySpec.make("cycle", k=k), gen_cycle(k)))
-        out.append(
-            (FamilySpec.make("cycle", k=k, signs=tuple([-1] * k)), gen_cycle(k, [-1] * k))
-        )
-        single = tuple([-1] + [1] * (k - 1))
-        out.append((FamilySpec.make("cycle", k=k, signs=single), gen_cycle(k, single)))
+        specs += [make("cycle", k=k), make("cycle", k=k, signs=(-1,) * k),
+                  make("cycle", k=k, signs=(-1,) + (1,) * (k - 1))]
     for n in range(3, min(8, max_n) + 1):
-        out.append((FamilySpec.make("path", n=n), gen_path(n)))
-        out.append(
-            (
-                FamilySpec.make("path", n=n, signs=tuple([-1] * (n - 1))),
-                gen_path(n, [-1] * (n - 1)),
-            )
-        )
-    for seed, n in ((11, 6), (12, 9), (13, 12)):
-        if n <= max_n:
-            out.append(
-                (FamilySpec.make("random_tree", seed=seed, n=n), gen_random_tree(seed, n))
-            )
-    return [(spec.label(), g) for spec, g in out]
+        specs += [make("path", n=n), make("path", n=n, signs=(-1,) * (n - 1))]
+    specs += [make("random_tree", seed=seed, n=n)
+              for seed, n in ((11, 6), (12, 9), (13, 12)) if n <= max_n]
+    return [(spec.label(), spec.build()) for spec in specs]
 
 
 def random_instances(count: int = 100, max_n: int = 8, seed: int = 7):
@@ -737,17 +664,10 @@ def random_instances(count: int = 100, max_n: int = 8, seed: int = 7):
         raise InputError(f"random instance count must be >= 0, got {count}")
     if seed < 0:
         raise InputError(f"random instance seed must be >= 0, got {seed}")
-    out = []
-    for i in range(count):
-        n = 3 + (i % (max_n - 2))  # 3..max_n
-        s = seed * 1000 + i
-        out.append(
-            (
-                FamilySpec.make("random_connected", seed=s, n=n).label(),
-                gen_random_connected(s, n),
-            )
-        )
-    return out
+    # instance i has 3..max_n vertices, cycling
+    specs = [FamilySpec.make("random_connected", seed=seed * 1000 + i, n=3 + i % (max_n - 2))
+             for i in range(count)]
+    return [(spec.label(), spec.build()) for spec in specs]
 
 
 def explore_conjecture(
@@ -834,32 +754,10 @@ def _claim_conjecture(which: str, claim_id: str, budget: Budget) -> ClaimResult:
 # registry
 
 
-CLAIMS = {
-    "balanced_bound": _claim_balanced_bound,
-    "burning_relation": _claim_burning_relation,
-    "c5_allneg": _claim_c5_allneg,
-    "circuit_values": _claim_circuit_values,
-    "conjecture_bound": partial(_claim_conjecture, "conj1", "conjecture_bound"),
-    "conjecture_relaxed_bound": partial(
-        _claim_conjecture, "conj2", "conjecture_relaxed_bound"
-    ),
-    "frustration_family": _claim_frustration_family,
-    "gn_balance": _claim_gn_balance,
-    "gn_confusion": _claim_gn_confusion,
-    "gn_confusion_zero": _claim_gn_confusion_zero,
-    "gst_confusion": _claim_gst_confusion,
-    "ktt_confusion": _claim_ktt_confusion,
-    "maxdeg_bound": _claim_maxdeg_bound,
-    "maxdeg_ratio": _claim_maxdeg_ratio,
-    "maxdeg_zero": _claim_maxdeg_zero,
-    "relaxed_balanced_zero": _claim_relaxed_balanced_zero,
-    "relaxed_class_min": _claim_relaxed_class_min,
-    "relaxed_families": _claim_relaxed_families,
-    "relaxed_negation": _claim_relaxed_negation,
-    "relaxed_switch_invariance": _claim_relaxed_switch_invariance,
-    "relaxed_transfer": _claim_relaxed_transfer,
-    "tree_zero": _claim_tree_zero,
-}
+# the conjecture claims report the explorer's counts, not _aggregate's
+CLAIMS.update((claim_id, partial(_claim_conjecture, which, claim_id))
+              for which, claim_id in (("conj1", "conjecture_bound"),
+                                      ("conj2", "conjecture_relaxed_bound")))
 
 
 def verify_claim(claim_id: str, params: dict | None = None, budget: Budget | None = None) -> ClaimResult:

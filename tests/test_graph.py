@@ -16,7 +16,6 @@ from signedspread.graph import (
     JSON_MAX_N,
     SignedGraph,
     _edge_shift_arrays,
-    distance_table,
     equivalent,
     frustration_index,
     graph_from_json,
@@ -290,16 +289,6 @@ def test_frustration_witness_matches_smallest_sorted_rule(g):
     best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, 1 << (g.n - 1))
     want = min(sorted(negatives_after_switch(g, int(mask))) for mask in masks)
     assert frustration_index(g) == (best, frozenset(want))
-
-
-def test_distance_table():
-    n = 7
-    assert (distance_table(gen_path(n)) == np.abs(np.subtract.outer(range(n), range(n)))).all()
-    ring = distance_table(gen_cycle(6))
-    assert ring[0].tolist() == [0, 1, 2, 3, 2, 1] and (ring == ring.T).all()
-    two_parts = distance_table(SignedGraph.from_edge_list(4, [(0, 1, -1), (2, 3, 1)]))
-    assert two_parts.tolist() == [[0, 1, 4, 4], [1, 0, 4, 4], [4, 4, 0, 1], [4, 4, 1, 0]]
-    assert distance_table(SignedGraph.from_edge_list(0, [])).shape == (0, 0)
 
 
 def test_frustration_zero_iff_balanced():
