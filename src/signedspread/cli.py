@@ -26,15 +26,7 @@ from .engine import (
     trace_to_json,
 )
 from .errors import BudgetExceeded, InputError, SignedSpreadError
-from .families import (
-    gen_cycle,
-    gen_gn,
-    gen_gst,
-    gen_ktt_tau,
-    gen_path,
-    gen_random_connected,
-    gen_random_tree,
-)
+from .families import FamilySpec
 from .graph import (
     FRUSTRATION_MAX_N,
     equivalent,
@@ -161,56 +153,45 @@ def _budget_from(args) -> Budget:
     )
 
 
-def _size_args(args, want: int, names: str) -> list:
-    if len(args.size) != want:
-        raise UsageError(
-            f"generate {args.kind} expects {want} size argument(s) ({names}), "
-            f"got {len(args.size)}"
-        )
-    return args.size
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+# CLI kind -> (family kind, size parameters, the names its usage error
+# prints, the generator keywords its flags fill); the order is the one
+# an unknown kind's error lists
+_GENERATE = {
+    "gn": ("gn", ("n",), "n", ()),
+    "ktt": ("ktt_tau", ("t",), "t", ("negated",)),
+    "gst": ("gst", ("s", "t"), "s t", ("layer_signs",)),
+    "cycle": ("cycle", ("k",), "length", ("signs",)),
+    "path": ("path", ("n",), "length", ("signs",)),
+    "tree": ("random_tree", ("n",), "n", ("seed", "neg_prob")),
+    "random": ("random_connected", ("n",), "n", ("seed", "edge_prob", "neg_prob")),
+}
+
+
 def _cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "gn":
-        (n,) = _size_args(args, 1, "n")
-        g = gen_gn(n)
-    elif kind == "ktt":
-        (t,) = _size_args(args, 1, "t")
-        g = gen_ktt_tau(t, negated=args.negated)
-    elif kind == "gst":
-        s, t = _size_args(args, 2, "s t")
-        flags = _parse_flags(args.layer_signs) if args.layer_signs else None
-        g = gen_gst(s, t, flags)
-    elif kind in ("cycle", "path"):
-        (k,) = _size_args(args, 1, "length")
+    family, params, names, keywords = _GENERATE[args.kind]
+    if len(args.size) != len(params):
+        raise UsageError(
+            f"generate {args.kind} expects {len(params)} size argument(s) ({names}), "
+            f"got {len(args.size)}"
+        )
+    kw = dict(zip(params, args.size), **{key: getattr(args, key) for key in keywords})
+    if "signs" in kw:
         if args.signs and args.all_negative:
             raise UsageError("--signs and --all-negative exclude each other")
-        signs = None
-        if args.signs:
-            signs = _parse_signs(args.signs, k if kind == "cycle" else k - 1)
-        g = gen_cycle(k, signs) if kind == "cycle" else gen_path(k, signs)
-        if args.all_negative:
-            # negated after the generator's size check, not built before it
-            g = negate_signature(g)
-    elif kind == "tree":
-        (n,) = _size_args(args, 1, "n")
-        if args.seed is None:
-            raise UsageError("generate tree requires --seed")
-        g = gen_random_tree(args.seed, n, neg_prob=args.neg_prob)
-    elif kind == "random":
-        (n,) = _size_args(args, 1, "n")
-        if args.seed is None:
-            raise UsageError("generate random requires --seed")
-        g = gen_random_connected(
-            args.seed, n, edge_prob=args.edge_prob, neg_prob=args.neg_prob
-        )
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown kind {kind!r}")
+        edges = args.size[0] - (family == "path")
+        kw["signs"] = _parse_signs(args.signs, edges) if args.signs else None
+    if "layer_signs" in kw:
+        kw["layer_signs"] = _parse_flags(args.layer_signs) if args.layer_signs else None
+    if "seed" in kw and args.seed is None:
+        raise UsageError(f"generate {args.kind} requires --seed")
+    g = FamilySpec.make(family, **kw).build()
+    if "signs" in kw and args.all_negative:
+        # negated after the generator's size check, not built before it
+        g = negate_signature(g)
     if args.format == "dot":
         _emit(graph_to_dot(g), args.output)
     else:
@@ -414,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a family instance as JSON or DOT")
-    p.add_argument("kind", choices=["gn", "ktt", "gst", "cycle", "path", "tree", "random"])
+    p.add_argument("kind", choices=list(_GENERATE))
     p.add_argument("size", nargs="*", type=int, help="size arguments for the kind")
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (tree, random)")
     p.add_argument("--negated", action="store_true", help="negate the matched signature (ktt)")

@@ -35,21 +35,31 @@ def _zeros(labels):
     return np.flatnonzero(labels == _ZERO).tolist()
 
 
+POLICIES = {}
+_BOUNDS = {}
+
+
+def _policy(bound):
+    """Register the decorated policy in POLICIES under its name, with
+    bound(g), the confusion it guarantees on g."""
+    def register(fn):
+        POLICIES[fn.__name__] = fn
+        _BOUNDS[fn.__name__] = bound
+        return fn
+    return register
+
+
+@_policy(lambda g: 0.0)
 def tree_frontier(g: SignedGraph) -> Strategy:
     """On trees: grow from vertex 0, always placing on a Zero vertex
-    adjacent to an informed one. Guarantees zero confusion."""
+    adjacent to an informed one. Guarantees zero confusion. This is
+    rescue_priority's rule: it picks vertex 0 first, and from then on
+    the informed set is a connected subtree, which a vertex outside it
+    touches at most once, so no Zero vertex hears both values and the
+    first that hears one is the first next to an informed vertex."""
     if not g.connected() or g.m != g.n - 1:
         raise InputError("tree_frontier expects a tree")
-
-    def pick(labels, i):
-        if i == 0:
-            return 0
-        for v in _zeros(labels):
-            if any(labels[w] in (1, 2) for w in g.neighbors(v)):
-                return v
-        raise InputError("no frontier vertex found")
-
-    return _drive(g, pick)
+    return rescue_priority(g)
 
 
 def _cycle_order(g: SignedGraph) -> list[int]:
@@ -63,6 +73,7 @@ def _cycle_order(g: SignedGraph) -> list[int]:
     return order
 
 
+@_policy(lambda g: 1.0 if g.n == 5 and all(s < 0 for _, _, s in g.edges) else 0.0)
 def circuit_strategy(g: SignedGraph) -> Strategy:
     """On a single cycle: place on every other vertex, with the residue
     of the length mod 3 deciding the tail. Guarantees zero confusion,
@@ -102,6 +113,7 @@ def circuit_strategy(g: SignedGraph) -> Strategy:
     return Strategy(MODE_ID, placements)
 
 
+@_policy(lambda g: float(max(0, g.n - 2 - g.max_degree())))
 def max_degree_first(g: SignedGraph) -> Strategy:
     """Place on a maximum-degree vertex first, then sweep the remaining
     Zero vertices in id order. Guarantees at most
@@ -119,6 +131,7 @@ def max_degree_first(g: SignedGraph) -> Strategy:
     return _drive(g, pick)
 
 
+@_policy(lambda g: float(g.n) if g.max_degree() < 3 else (1.0 - 2.0 / g.max_degree()) * g.n)
 def rescue_priority(g: SignedGraph) -> Strategy:
     """Each step, place on a Zero vertex about to hear both values;
     failing that, one about to hear a single value; failing that, the
@@ -141,6 +154,7 @@ def rescue_priority(g: SignedGraph) -> Strategy:
     return _drive(g, pick, ctx)
 
 
+@_policy(lambda g: max(0.0, g.n / 2.0 - 2.0))
 def balanced_partition_first(g: SignedGraph) -> Strategy:
     """On a balanced graph: saturate the larger side of the sign
     partition first (within it, only frontier placements), then cross
@@ -176,27 +190,6 @@ def balanced_partition_first(g: SignedGraph) -> Strategy:
 
 def policy_bound(name: str, g: SignedGraph) -> float:
     """The confusion guarantee the named policy carries on g."""
-    if name == "tree_frontier":
-        return 0.0
-    if name == "circuit_strategy":
-        all_neg = all(s < 0 for _, _, s in g.edges)
-        return 1.0 if (g.n == 5 and all_neg) else 0.0
-    if name == "max_degree_first":
-        return float(max(0, g.n - 2 - g.max_degree()))
-    if name == "rescue_priority":
-        d = g.max_degree()
-        if d < 3:
-            return float(g.n)
-        return (1.0 - 2.0 / d) * g.n
-    if name == "balanced_partition_first":
-        return max(0.0, g.n / 2.0 - 2.0)
-    raise InputError(f"unknown policy {name!r}")
-
-
-POLICIES = {
-    "tree_frontier": tree_frontier,
-    "circuit_strategy": circuit_strategy,
-    "max_degree_first": max_degree_first,
-    "rescue_priority": rescue_priority,
-    "balanced_partition_first": balanced_partition_first,
-}
+    if name not in _BOUNDS:
+        raise InputError(f"unknown policy {name!r}")
+    return _BOUNDS[name](g)

@@ -42,7 +42,6 @@ from .graph import (
     switch,
 )
 from .solver import (
-    EXACT_MAX_N,
     Budget,
     brute_oracle,
     exact_confusion,
@@ -107,15 +106,11 @@ def _drop_edge(g: SignedGraph, u: int, v: int) -> SignedGraph:
 
 def _random_balanced(seed: int, n: int, edge_prob: float = 0.6) -> SignedGraph:
     """Connected graph with signs induced by a random 2-coloring:
-    within-part edges positive, cross edges negative. Balanced by
-    construction."""
+    within-part edges positive, cross edges negative (the all-positive
+    sample switched at colour class 1). Balanced by construction."""
     base = gen_random_connected(seed, n, edge_prob, 0.0)
-    rng = _nprandom.default_rng(seed + 90001)
-    colors = rng.integers(0, 2, n)
-    edges = [
-        (u, v, 1 if colors[u] == colors[v] else -1) for u, v, _ in base.edges
-    ]
-    return SignedGraph.from_edge_list(n, edges)
+    colors = _nprandom.default_rng(seed + 90001).integers(0, 2, n)
+    return switch(base, colors.nonzero()[0].tolist())
 
 
 def _one_negative(seed: int, n: int) -> SignedGraph:
@@ -136,11 +131,11 @@ def _corpus(count: int, seed0: int, n_lo: int, n_hi: int, min_maxdeg: int = 0):
     seed = seed0
     while len(out) < count:
         n = n_lo + (len(out) + seed - seed0) % (n_hi - n_lo + 1)
-        g = gen_random_connected(seed, n, 0.5, 0.5)
+        spec = FamilySpec.make("random_connected", seed=seed, n=n)
+        g = spec.build()
         seed += 1
-        if g.max_degree() < min_maxdeg:
-            continue
-        out.append((f"random_connected(seed={seed - 1}, n={n})", g))
+        if g.max_degree() >= min_maxdeg:
+            out.append((spec.label(), g))
     return out
 
 
@@ -693,20 +688,19 @@ def explore_conjecture(
         graphs = family_instances(max_n) + random_instances(random_count, random_max_n, seed)
     report = ExploreReport(which=which)
     for label, g in graphs:
-        cap = min(g.n, EXACT_MAX_N)
         try:
             if which == "conj1":
-                rep = exact_confusion(g, _cap(budget, cap))
+                rep = exact_confusion(g, budget)
                 ell = None
                 bound = conjecture_ceiling(g.n)
             else:
-                rep = exact_relaxed_confusion(g, _cap(budget, cap))
+                rep = exact_relaxed_confusion(g, budget)
                 ell, _ = frustration_index(g, max_n=max(FRUSTRATION_MAX_N, g.n))
                 bound = min(ell, conjecture_ceiling(g.n))
             if not rep.optimal:
                 report.skipped.append(f"{label}: budget exhausted")
                 continue
-        except (BudgetExceeded, CapacityError) as exc:
+        except CapacityError as exc:
             report.skipped.append(f"{label}: {exc}")
             continue
         report.checked += 1

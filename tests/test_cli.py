@@ -49,10 +49,17 @@ def test_generate_validation_exit_codes():
     assert run_cli("generate", "gn").returncode == 2  # missing size
     assert run_cli("generate", "gn", "6", "4").returncode == 2  # extra size
     assert run_cli("generate", "gn", "7").returncode == 1  # odd order
-    assert run_cli("generate", "tree", "5").returncode == 2  # seed required
     assert run_cli("generate", "torus", "4").returncode == 2  # unknown kind
     both = run_cli("generate", "cycle", "5", "--signs", "1,1,1,1,1", "--all-negative")
     assert both.returncode == 2
+    for args, message in (
+        (("gst", "3"), "generate gst expects 2 size argument(s) (s t), got 1"),
+        (("path",), "generate path expects 1 size argument(s) (length), got 0"),
+        (("tree", "5"), "generate tree requires --seed"),
+        (("random", "5"), "generate random requires --seed"),
+    ):
+        proc = run_cli("generate", *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"usage error: {message}\n")
 
 
 def test_pipe_generate_into_solve():

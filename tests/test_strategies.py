@@ -46,6 +46,29 @@ def test_tree_frontier_zero_confusion(seed, n):
     assert trace.confused_count() == 0
 
 
+def reference_tree_frontier_placements(g):
+    """tree_frontier's own rule before it reused rescue_priority: vertex
+    0 first, then the first Zero vertex next to an informed one."""
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    placements = []
+    while (labels == int(Label.ZERO)).any():
+        zeros = [v for v in range(g.n) if labels[v] == int(Label.ZERO)]
+        v = next(v for v in zeros if not placements or any(
+            labels[w] in (int(Label.A), int(Label.NEG_A)) for w in g.neighbors(v)))
+        placements.append(v)
+        labels = ctx.step(labels, v, int(Label.A))
+    return placements
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), st.sampled_from([1, 2, 3, 5, 8, 13, 30, 60]))
+def test_tree_frontier_is_its_frontier_rule(seed, n):
+    g = gen_random_tree(seed, n)
+    got = [pl.vertex for pl in tree_frontier(g).placements]
+    assert got == reference_tree_frontier_placements(g)
+
+
 def test_tree_frontier_rejects_non_tree():
     with pytest.raises(InputError):
         tree_frontier(gen_cycle(4))
