@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 domain error (a named precondition failed),
 2 usage error, 3 verification suite reported failures. Every JSON
 payload carries "schema": 1 and ends with a newline; diagnostics go to
-stderr only, so stdout stays pipeable.
+stderr only, so stdout stays pipeable. Each subcommand handler returns
+(exit code, text) and writes nothing; only main writes the text, to
+stdout or to -o FILE.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .engine import (
     strategy_to_json,
     trace_to_json,
 )
-from .errors import BudgetExceeded, InputError, SignedSpreadError
+from .errors import InputError, SignedSpreadError
 from .families import FamilySpec
 from .graph import (
     FRUSTRATION_MAX_N,
@@ -69,7 +71,7 @@ def _read_text(path: str | None) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -79,23 +81,25 @@ def _read_graph(path: str | None):
         raise UsageError("expected a graph JSON document on input, got nothing")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
     return graph_from_json(payload)
 
 
-def _emit(text: str, out_path: str | None):
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path is None or out_path == "-":
+def _emit(text: str, path: str | None):
+    """Write text and, if it lacks one, a closing newline to stdout or
+    to path; two writes, so a large document is not copied to add it."""
+    end = "" if text.endswith("\n") else "\n"
+    if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        sys.stdout.write(end)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _emit_json(obj: dict, out_path: str | None):
-    _emit(json.dumps(obj), out_path)
+            fh.write(end)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def graph_to_dot(g, labels=None) -> str:
@@ -171,7 +175,7 @@ _GENERATE = {
 }
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple:
     family, params, names, keywords = _GENERATE[args.kind]
     if len(args.size) != len(params):
         raise UsageError(
@@ -192,14 +196,10 @@ def _cmd_generate(args) -> int:
     if "signs" in kw and args.all_negative:
         # negated after the generator's size check, not built before it
         g = negate_signature(g)
-    if args.format == "dot":
-        _emit(graph_to_dot(g), args.output)
-    else:
-        _emit_json(graph_to_json(g), args.output)
-    return EXIT_OK
+    return EXIT_OK, graph_to_dot(g) if args.format == "dot" else json.dumps(graph_to_json(g))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     g = _read_graph(args.path)
     mode = MODE_RID if args.relaxed else MODE_ID
     placements = []
@@ -220,13 +220,11 @@ def _cmd_simulate(args) -> int:
         placements.append(Placement(v, info))
     trace = run(g, Strategy(mode, tuple(placements)))
     if args.format == "dot":
-        _emit(graph_to_dot(g, trace.final), args.output)
-    else:
-        _emit_json(trace_to_json(trace), args.output)
-    return EXIT_OK
+        return EXIT_OK, graph_to_dot(g, trace.final)
+    return EXIT_OK, json.dumps(trace_to_json(trace))
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     g = _read_graph(args.path)
     budget = _budget_from(args)
     if sum(1 for flag in (args.exact, args.greedy, args.via_class) if flag) > 1:
@@ -247,8 +245,7 @@ def _cmd_solve(args) -> int:
             "complete": trace.complete,
             "mode": MODE_ID,
         }
-        _emit_json(payload, args.output)
-        return EXIT_OK
+        return EXIT_OK, json.dumps(payload)
     if args.min_steps:
         mode = MODE_RID if args.relaxed else MODE_ID
         report = min_steps(g, mode, budget)
@@ -258,11 +255,10 @@ def _cmd_solve(args) -> int:
         report = exact_relaxed_confusion(g, budget)
     else:
         report = exact_confusion(g, budget)
-    _emit_json(report.to_json(), args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(report.to_json())
 
 
-def _cmd_balance(args) -> int:
+def _cmd_balance(args) -> tuple:
     g = _read_graph(args.path)
     part = is_balanced(g)
     anti = is_antibalanced(g)
@@ -273,11 +269,10 @@ def _cmd_balance(args) -> int:
         "antibalanced": anti is not None,
         "antibalanced_partition": [list(anti.u1), list(anti.u2)] if anti else None,
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(payload)
 
 
-def _cmd_frustration(args) -> int:
+def _cmd_frustration(args) -> tuple:
     g = _read_graph(args.path)
     max_n = args.max_n if args.max_n is not None else FRUSTRATION_MAX_N
     value, witness = frustration_index(g, max_n=max_n)
@@ -288,11 +283,10 @@ def _cmd_frustration(args) -> int:
     }
     if args.realize:
         payload["realized"] = graph_to_json(realize_min_signature(g, witness))
-    _emit_json(payload, args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(payload)
 
 
-def _cmd_equivalent(args) -> int:
+def _cmd_equivalent(args) -> tuple:
     if args.first == "-" and args.second == "-":
         raise UsageError("at most one of the two graphs may come from stdin")
     g1 = _read_graph(args.first)
@@ -303,51 +297,45 @@ def _cmd_equivalent(args) -> int:
         "equivalent": witness is not None,
         "witness": sorted(witness) if witness is not None else None,
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(payload)
 
 
-def _cmd_switch(args) -> int:
+def _cmd_switch(args) -> tuple:
     g = _read_graph(args.path)
     if args.at:
         g = switch(g, _parse_vertices(args.at))
     if args.negate:
         g = negate_signature(g)
-    _emit_json(graph_to_json(g), args.output)
-    return EXIT_OK
+    return EXIT_OK, json.dumps(graph_to_json(g))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     budget = _budget_from(args)
     claim_ids = args.claim if args.claim else None
     results = run_suite(budget=budget, claim_ids=claim_ids)
+    code = EXIT_VERIFY if any(r.status == "fail" for r in results) else EXIT_OK
     if args.json:
-        payload = {"schema": 1, "results": [r.to_json() for r in results]}
-        _emit_json(payload, args.output)
-    else:
-        lines = []
-        for r in results:
-            tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[r.status]
-            line = f"[{tag}] {r.claim_id}: {r.instance}; expected {r.expected}; observed {r.observed}"
-            if r.detail:
-                line += f" ({r.detail})"
-            lines.append(line)
-        counts = {
-            "pass": sum(r.status == "pass" for r in results),
-            "fail": sum(r.status == "fail" for r in results),
-            "skipped": sum(r.status == "skipped" for r in results),
-        }
-        lines.append(
-            f"{counts['pass']} passed, {counts['fail']} failed, "
-            f"{counts['skipped']} skipped"
-        )
-        _emit("\n".join(lines), args.output)
-    if any(r.status == "fail" for r in results):
-        return EXIT_VERIFY
-    return EXIT_OK
+        return code, json.dumps({"schema": 1, "results": [r.to_json() for r in results]})
+    lines = []
+    for r in results:
+        tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[r.status]
+        line = f"[{tag}] {r.claim_id}: {r.instance}; expected {r.expected}; observed {r.observed}"
+        if r.detail:
+            line += f" ({r.detail})"
+        lines.append(line)
+    counts = {
+        "pass": sum(r.status == "pass" for r in results),
+        "fail": sum(r.status == "fail" for r in results),
+        "skipped": sum(r.status == "skipped" for r in results),
+    }
+    lines.append(
+        f"{counts['pass']} passed, {counts['fail']} failed, "
+        f"{counts['skipped']} skipped"
+    )
+    return code, "\n".join(lines)
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args) -> tuple:
     budget = Budget(nodes=args.budget_nodes, seconds=args.budget_secs, max_n=None)
     report = explore_conjecture(
         args.which,
@@ -357,19 +345,18 @@ def _cmd_explore(args) -> int:
         random_max_n=args.random_max_n,
         seed=args.seed,
     )
+    code = EXIT_DOMAIN if report.violations else EXIT_OK
     if args.json:
-        _emit_json(report.to_json(), args.output)
-    else:
-        lines = [
-            f"{report.which}: {len(report.violations)} violation(s) over "
-            f"{report.checked} instance(s), {len(report.skipped)} skipped"
-        ]
-        for v in report.violations[:10]:
-            lines.append(f"  {v.label}: value {v.observed} > bound {v.bound}")
-        if len(report.violations) > 10:
-            lines.append(f"  ... {len(report.violations) - 10} more")
-        _emit("\n".join(lines), args.output)
-    return EXIT_DOMAIN if report.violations else EXIT_OK
+        return code, json.dumps(report.to_json())
+    lines = [
+        f"{report.which}: {len(report.violations)} violation(s) over "
+        f"{report.checked} instance(s), {len(report.skipped)} skipped"
+    ]
+    for v in report.violations[:10]:
+        lines.append(f"  {v.label}: value {v.observed} > bound {v.bound}")
+    if len(report.violations) > 10:
+        lines.append(f"  ... {len(report.violations) - 10} more")
+    return code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +475,12 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _emit(text, args.output)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except SignedSpreadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

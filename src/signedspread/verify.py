@@ -631,10 +631,16 @@ class ExploreReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
+# the corpus costs about max_n^3, and the exact solvers skip n > 15
+FAMILY_MAX_N = 100
+
+
 def family_instances(max_n: int = 12):
     """Every family instance of order at most max_n, labeled."""
     if max_n < 3:
         raise InputError(f"family instances need max_n >= 3, got {max_n}")
+    if max_n > FAMILY_MAX_N:
+        raise InputError(f"family instances need max_n <= {FAMILY_MAX_N}, got {max_n}")
     make = FamilySpec.make
     specs = [make("gn", n=n) for n in range(6, max_n + 1, 2)]
     for t in range(3, max_n // 2 + 1):

@@ -247,12 +247,41 @@ def test_explore_random_max_n_below_3_exit_1(max_n):
     [
         (("--random", "-3"), "error: random instance count must be >= 0, got -3\n"),
         (("--max-n", "2"), "error: family instances need max_n >= 3, got 2\n"),
+        (("--max-n", "101"), "error: family instances need max_n <= 100, got 101\n"),
     ],
 )
 def test_explore_empty_corpus_exit_1(flags, message):
     proc = run_cli("explore-conjecture", "conj1", *flags)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == message
+
+
+_PATH3 = '{"n": 3, "edges": [{"u": 0, "v": 1, "sign": 1}, {"u": 1, "v": 2, "sign": -1}]}'
+
+
+@pytest.mark.parametrize(
+    "args, stdin, message",
+    [
+        *(
+            pytest.param([*command, "-o", target], _PATH3, "error: cannot write",
+                         id=f"{command[0]}-o-{name}")
+            for command in (["generate", "gn", "6"], ["simulate"], ["solve"],
+                            ["verify", "--claim", "c5_allneg"])
+            for name, target in (("dir", "{tmp}"), ("missing", "{tmp}/missing/x.json"))
+        ),
+        pytest.param(["balance", "{tmp}/utf16.json"], None, "error: cannot read", id="not-utf8"),
+        pytest.param(["balance"], "[" * 100000 + "\n", "error: input is not valid JSON:",
+                     id="nested-too-deep"),
+    ],
+)
+def test_bad_input_or_output_file_exit_1(args, stdin, message, tmp_path):
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli(*(arg.format(tmp=tmp_path) for arg in args), stdin=stdin)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("\n") and "Traceback" not in proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before  # no file created
 
 
 def test_verify_cap_below_claim_size_exit_1():

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from signedspread.errors import CapacityError, InputError
 from signedspread.families import gen_cycle, gen_path
 from signedspread.graph import SignedGraph, graph_from_json
 from signedspread.solver import Budget, exact_confusion, exact_relaxed_confusion
-from signedspread import verify
+from signedspread import cli, verify
 from signedspread.verify import (
     CLAIMS,
     burning_number_brute,
@@ -20,6 +23,8 @@ from signedspread.verify import (
     run_suite,
     verify_claim,
 )
+
+SUITE_JSON = Path(__file__).parent / "data" / "suite.json"
 
 # Claims that assert literal target values known to be off at the
 # smallest instances; they are kept failing on purpose.
@@ -34,8 +39,26 @@ def test_run_suite_statuses():
     assert all(s == "pass" for cid, s in by_status.items() if cid not in EXPECTED_RED)
     # every field, text included, is frozen: a refactor of the registry
     # must report each claim byte for byte as before
-    golden = json.loads((Path(__file__).parent / "data" / "suite.json").read_text())
-    assert [r.to_json() for r in results] == golden
+    assert [r.to_json() for r in results] == json.loads(SUITE_JSON.read_text())
+
+
+def test_every_claim_repro_runs(monkeypatch, capsys):
+    # each pipeline stage runs in process, fed the previous stage's stdout
+    golden = json.loads(SUITE_JSON.read_text())
+    assert [r["claim_id"] for r in golden] == sorted(CLAIMS)
+    for result in golden:
+        out = ""
+        for stage in result["repro"].split(" | "):
+            program, *argv = shlex.split(stage)
+            assert program == "signedspread"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            if argv[0] == "explore-conjecture":
+                assert code == 1 and "violation(s)" in out, (stage, err)
+            else:
+                assert code == 0, (stage, err)
+                assert json.loads(out)["schema"] == 1, stage
 
 
 def test_run_suite_zero_budget_skips_everything():
