@@ -1,15 +1,27 @@
 """End-to-end runs of the installed console entry point.
 
-Every test shells out to a fresh interpreter, so these double as an
+Most tests shell out to a fresh interpreter, so these double as an
 install smoke test and as the contract for scripting against the tool.
+The frozen `solve` table and the stdin decoding test call cli.main in
+process.
 """
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from signedspread import cli
+from signedspread.families import FamilySpec
+from signedspread.graph import graph_to_json
+from signedspread.strategies import POLICIES
+
+SOLVE_JSON = Path(__file__).parent / "data" / "solve.json"
 
 
 def run_cli(*args, stdin=None, env=None, timeout=300):
@@ -309,3 +321,51 @@ def test_generate_kinds_roundtrip(kind, size):
     assert payload["n"] >= int(size[0])
     seeded = out_json(run_cli("generate", "random", "5", "--seed", "3"))
     assert seeded == out_json(run_cli("generate", "random", "5", "--seed", "3"))
+
+
+# graphs and flag sets of the frozen `solve` table; --via-class runs on
+# n <= 12 only
+_SOLVE_GRAPHS = (
+    FamilySpec.make("gn", n=8),
+    FamilySpec.make("ktt_tau", t=4),
+    FamilySpec.make("gst", s=4, t=3),
+    FamilySpec.make("gst", s=30, t=3),
+    FamilySpec.make("cycle", k=5, signs=[-1] * 5),
+    FamilySpec.make("path", n=9),
+    FamilySpec.make("random_tree", seed=3, n=9),
+    FamilySpec.make("random_connected", seed=5, n=9),
+)
+_SOLVE_FLAGS = (
+    [], ["--relaxed"], ["--min-steps"], ["--min-steps", "--relaxed"], ["--via-class"],
+    ["--budget-nodes", "3"], *(["--greedy", name] for name in sorted(POLICIES)),
+)
+
+
+def solve_cases():
+    """(graph label, solve argv, graph JSON text) of every frozen case."""
+    for spec in _SOLVE_GRAPHS:
+        g = spec.build()
+        text = json.dumps(graph_to_json(g))
+        for flags in _SOLVE_FLAGS:
+            if flags != ["--via-class"] or g.n <= 12:
+                yield spec.label(), ["solve", *flags], text
+
+
+def run_main(monkeypatch, capsys, argv, stdin):
+    """cli.main(argv) in process on stdin: its exit code, stdout with
+    every millis value masked, and stderr."""
+    monkeypatch.setattr(sys, "stdin", stdin if isinstance(stdin, io.IOBase)
+                        else io.StringIO(stdin))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return {"code": code, "stdout": re.sub(r'"millis": [^,}]+', '"millis": null', out),
+            "stderr": err}
+
+
+def test_solve_output_is_frozen(monkeypatch, capsys):
+    golden = json.loads(SOLVE_JSON.read_text())
+    cases = list(solve_cases())
+    assert [(c["graph"], c["argv"]) for c in golden] == [(label, argv) for label, argv, _ in cases]
+    for case, (label, argv, text) in zip(golden, cases):
+        got = run_main(monkeypatch, capsys, argv, text)
+        assert got == {k: case[k] for k in ("code", "stdout", "stderr")}, (label, argv)
