@@ -66,13 +66,14 @@ class UsageError(Exception):
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    stdin = path is None or path == "-"
     try:
+        if stdin:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {'stdin' if stdin else path}: {exc}") from exc
 
 
 def _read_graph(path: str | None):
@@ -234,7 +235,7 @@ def _cmd_solve(args) -> tuple:
     if args.greedy:
         if args.relaxed:
             raise UsageError("greedy policies place A only; drop --relaxed")
-        trace = run(g, POLICIES[args.greedy](g))
+        trace = POLICIES[args.greedy](g)
         payload = {
             "schema": 1,
             "optimum": trace.confused_count(),

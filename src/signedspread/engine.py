@@ -39,6 +39,7 @@ class Label(IntEnum):
         return self
 
 
+_ZERO = int(Label.ZERO)
 _A = int(Label.A)
 _NEG_A = int(Label.NEG_A)
 _CONFUSED = int(Label.CONFUSED)
@@ -165,12 +166,12 @@ class StepContext:
         return out
 
     def expand(self, state: int, allow_neg: bool):
-        """(children, moves, ccounts) of every placement on a Zero vertex
-        of the bitset state, ordered by vertex, A before -A: child states,
-        (vertex, value) pairs, and each child's confused count. What the
-        transmitters send is ORed once; each child adds its placed
-        vertex's masks, and each Zero vertex adopts the one value it
-        hears or is confused by both."""
+        """(children, moves, added, done) of every placement on a Zero
+        vertex of the bitset state, ordered by vertex, A before -A: child
+        states, (vertex, value) pairs, the confusion each adds, and whether
+        each child is complete. What the transmitters send is ORed once;
+        each child adds its placed vertex's masks, and each Zero vertex
+        adopts the one value it hears or is confused by both."""
         pos, neg = self._masks
         n = self.graph.n
         full = (1 << n) - 1
@@ -184,7 +185,7 @@ class StepContext:
                 hear_b |= other[v]
                 side ^= low
         zero = full ^ (a | b | c)
-        children, moves, ccounts = [], [], []
+        children, moves, added, done = [], [], [], []
         rest = zero
         while rest:
             low = rest & -rest
@@ -197,14 +198,16 @@ class StepContext:
             both = za & zb
             children.append(low | a | za ^ both | (b | zb ^ both) << n | (c | both) << 2 * n)
             moves.append((v, _A))
-            ccounts.append((c | both).bit_count())
+            added.append(both.bit_count())
+            done.append(z == za | zb)
             if allow_neg:  # v holds -A: the other way round
                 za, zb = z & (hear_a | q), z & (hear_b | p)
                 both = za & zb
                 children.append(a | za ^ both | (low | b | zb ^ both) << n | (c | both) << 2 * n)
                 moves.append((v, _NEG_A))
-                ccounts.append((c | both).bit_count())
-        return children, moves, ccounts
+                added.append(both.bit_count())
+                done.append(z == za | zb)
+        return children, moves, added, done
 
 
 @dataclass(eq=False)
@@ -253,6 +256,8 @@ def _check_placement(g: SignedGraph, labels: np.ndarray, p: Placement,
                      mode: str | None = None, idx: int | None = None) -> Label:
     """The placed value, once p is checked legal on labels (and in mode)."""
     where = "" if idx is None else f"step {idx}: "
+    if not isinstance(p, Placement):
+        raise InputError(f"{where}strategy entry {p!r} is not a Placement")
     v = p.vertex
     if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < g.n):
         raise InputError(f"{where}placement vertex {v!r} out of range")
@@ -264,7 +269,7 @@ def _check_placement(g: SignedGraph, labels: np.ndarray, p: Placement,
         raise StrategyError(f"{where}ID mode only places A", step=idx)
     if info not in (Label.A, Label.NEG_A):
         raise StrategyError(f"{where}placement value must be A or -A, got {info!r}", step=idx)
-    if labels[v] != int(Label.ZERO):
+    if labels[v] != _ZERO:
         raise StrategyError(f"{where}vertex {v} is not Zero", step=idx)
     return info
 
@@ -282,17 +287,26 @@ def step(g: SignedGraph, state: np.ndarray, placement: Placement,
     return ctx.step(labels.astype(np.int8, copy=False), placement.vertex, int(info))
 
 
+def _trace(g: SignedGraph, mode: str, ctx: StepContext, pick, count: int | None = None) -> Trace:
+    """The run from the all-Zero state whose i-th placement (from 0) is
+    pick(labels, i), checked by _check_placement on the state labels:
+    count placements, or with count None, until no vertex is Zero."""
+    labels = ctx.zeros_state()
+    placements, snapshots = [], [_freeze(labels.copy())]
+    while len(placements) != count if count is not None else (labels == _ZERO).any():
+        p = pick(labels, len(placements))
+        info = _check_placement(g, labels, p, mode, len(placements) + 1)
+        labels = ctx.step(labels, p.vertex, int(info))
+        placements.append(p)
+        snapshots.append(labels)
+    complete = not bool((labels == _ZERO).any())
+    return Trace(g, Strategy(mode, tuple(placements)), tuple(snapshots), complete)
+
+
 def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> Trace:
     """Run a full strategy from the all-Zero state."""
-    ctx = ctx or StepContext(g)
-    labels = ctx.zeros_state()
-    snapshots = [_freeze(labels.copy())]
-    for idx, p in enumerate(strategy.placements, start=1):
-        info = _check_placement(g, labels, p, strategy.mode, idx)
-        labels = ctx.step(labels, p.vertex, int(info))
-        snapshots.append(labels)
-    complete = not bool((labels == int(Label.ZERO)).any())
-    return Trace(graph=g, strategy=strategy, snapshots=tuple(snapshots), complete=complete)
+    given = strategy.placements
+    return _trace(g, strategy.mode, ctx or StepContext(g), lambda labels, i: given[i], len(given))
 
 
 def levels(trace: Trace) -> dict:
@@ -310,7 +324,7 @@ def levels(trace: Trace) -> dict:
             out[v] = placed[v] - 1
             continue
         for i in range(1, len(trace.snapshots)):
-            if trace.snapshots[i][v] != int(Label.ZERO):
+            if trace.snapshots[i][v] != _ZERO:
                 out[v] = i
                 break
     return out

@@ -68,7 +68,6 @@ from .engine import (
     Placement,
     StepContext,
     Strategy,
-    run,
     strategy_to_json,
 )
 from .errors import BudgetExceeded, CapacityError, InputError
@@ -278,10 +277,11 @@ class _Search:
 
     States are packed bitsets (StepContext.expand), and the root is the
     all-Zero state 0. A placement costs the confusion it adds, or one
-    step when a step bound is given. A memo key is a packed state: the
-    state itself until the orbit key is known, its orbit representative
-    after. A call under way when detection rekeys the memo still stores
-    its own state; that is sound, as every key is a state of its orbit.
+    step when a step bound is given; expand gives each child's added
+    confusion and completion. A memo key is a packed state: the state
+    itself until the orbit key is known, its orbit representative after.
+    A call under way when detection rekeys the memo still stores its own
+    state; that is sound, as every key is a state of its orbit.
     """
 
     def __init__(self, ctx: StepContext, allow_neg: bool, limits: _Limits,
@@ -295,7 +295,6 @@ class _Search:
         self._bound = bound
         self._root = None  # the root's expansion, kept across thresholds and for the walk
         self._n = ctx.graph.n
-        self._full = (1 << self._n) - 1
         # Ski rental: finding the group costs about as much as 2n nodes,
         # so it runs only once the search has spent that many. A solve
         # that ends sooner never pays for it; one that goes on pays at
@@ -305,14 +304,8 @@ class _Search:
     def _expand(self, state: int, at_root: bool) -> _Node:
         if at_root and self._root is not None:
             return self._root
-        children, moves, ccounts = self._ctx.expand(state, self._allow_neg and not at_root)
-        if self._bound is None:
-            held = (state >> 2 * self._n).bit_count()
-            costs = [k - held for k in ccounts]
-        else:
-            costs = [1] * len(ccounts)
-        n, full = self._n, self._full
-        done = [(child | child >> n | child >> 2 * n) & full == full for child in children]
+        children, moves, added, done = self._ctx.expand(state, self._allow_neg and not at_root)
+        costs = added if self._bound is None else [1] * len(added)
         node = _Node(children, moves, costs, done)
         if at_root:
             self._root = node
@@ -420,9 +413,9 @@ def _fallback(g: SignedGraph, mode: str, t0: float, limits: _Limits,
               count_steps: bool = False) -> SolveReport:
     """The report of a solve whose budget ran out: the rescue_priority
     strategy, not optimal, valued by its confused count or its steps."""
-    witness = Strategy(mode, rescue_priority(g).placements)
-    optimum = len(witness.placements) if count_steps else run(g, witness).confused_count()
-    return _report(t0, limits, optimum, witness, False)
+    trace = rescue_priority(g)
+    optimum = trace.steps if count_steps else trace.confused_count()
+    return _report(t0, limits, optimum, Strategy(mode, trace.strategy.placements), False)
 
 
 def _branch_solve(g: SignedGraph, mode: str, budget: Budget,

@@ -1,34 +1,25 @@
 """Placement policies with per-policy confusion guarantees.
 
-Every policy returns a complete ID strategy (placements carry value A
-only). Choices that the guarantee leaves free are resolved toward the
-smallest vertex id, so each policy is deterministic.
+Every policy returns the Trace of its complete ID run (placements carry
+value A only); trace.strategy is the strategy it chose. Choices that
+the guarantee leaves free are resolved toward the smallest vertex id,
+so each policy is deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import MODE_ID, Label, Placement, StepContext, Strategy
+from .engine import _ZERO, MODE_ID, Label, Placement, StepContext, Strategy, Trace, _trace, run
 from .errors import InputError
 from .graph import SignedGraph, is_balanced
 
-_ZERO = int(Label.ZERO)
 
-
-def _drive(g: SignedGraph, pick, ctx: StepContext | None = None) -> Strategy:
-    """Run the process, choosing each placement with pick(labels, i);
-    ctx, if given, is g's StepContext, shared with pick."""
-    ctx = StepContext(g) if ctx is None else ctx
-    labels = ctx.zeros_state()
-    placements = []
-    while (labels == _ZERO).any():
-        v = pick(labels, len(placements))
-        if labels[v] != _ZERO:
-            raise InputError(f"policy picked a non-Zero vertex {v}")
-        placements.append(Placement(v, Label.A))
-        labels = ctx.step(labels, v, int(Label.A))
-    return Strategy(MODE_ID, tuple(placements))
+def _drive(g: SignedGraph, pick, ctx: StepContext | None = None) -> Trace:
+    """Run until no vertex is Zero, placing A on pick(labels, i) at step
+    i; ctx, if given, is g's StepContext, shared with pick."""
+    return _trace(g, MODE_ID, ctx or StepContext(g),
+                  lambda labels, i: Placement(pick(labels, i), Label.A))
 
 
 def _zeros(labels):
@@ -50,7 +41,7 @@ def _policy(bound):
 
 
 @_policy(lambda g: 0.0)
-def tree_frontier(g: SignedGraph) -> Strategy:
+def tree_frontier(g: SignedGraph) -> Trace:
     """On trees: grow from vertex 0, always placing on a Zero vertex
     adjacent to an informed one. Guarantees zero confusion. This is
     rescue_priority's rule: it picks vertex 0 first, and from then on
@@ -74,7 +65,7 @@ def _cycle_order(g: SignedGraph) -> list[int]:
 
 
 @_policy(lambda g: 1.0 if g.n == 5 and all(s < 0 for _, _, s in g.edges) else 0.0)
-def circuit_strategy(g: SignedGraph) -> Strategy:
+def circuit_strategy(g: SignedGraph) -> Trace:
     """On a single cycle: place on every other vertex, with the residue
     of the length mod 3 deciding the tail. Guarantees zero confusion,
     except the all-negative 5-cycle, where one confused vertex is
@@ -109,30 +100,27 @@ def circuit_strategy(g: SignedGraph) -> Strategy:
             idxs = [2 * i for i in range(t)] + [2 * t]
         else:
             idxs = [0, 4] + [2 * i for i in range(3, t + 1)]
-    placements = tuple(Placement(order[j], Label.A) for j in idxs)
-    return Strategy(MODE_ID, placements)
+    return run(g, Strategy(MODE_ID, tuple(Placement(order[j], Label.A) for j in idxs)))
 
 
 @_policy(lambda g: float(max(0, g.n - 2 - g.max_degree())))
-def max_degree_first(g: SignedGraph) -> Strategy:
+def max_degree_first(g: SignedGraph) -> Trace:
     """Place on a maximum-degree vertex first, then sweep the remaining
     Zero vertices in id order. Guarantees at most
     max(0, n - 2 - max_degree) confused vertices."""
     if not g.connected():
         raise InputError("max_degree_first expects a connected graph")
-    dmax = g.max_degree()
-    first = min(v for v in range(g.n) if g.degree(v) == dmax)
 
     def pick(labels, i):
         if i == 0:
-            return first
+            return max(range(g.n), key=g.degree)  # the first of maximum degree
         return _zeros(labels)[0]
 
     return _drive(g, pick)
 
 
 @_policy(lambda g: float(g.n) if g.max_degree() < 3 else (1.0 - 2.0 / g.max_degree()) * g.n)
-def rescue_priority(g: SignedGraph) -> Strategy:
+def rescue_priority(g: SignedGraph) -> Trace:
     """Each step, place on a Zero vertex about to hear both values;
     failing that, one about to hear a single value; failing that, the
     smallest Zero vertex. Guarantees at most (1 - 2/max_degree) * n
@@ -155,7 +143,7 @@ def rescue_priority(g: SignedGraph) -> Strategy:
 
 
 @_policy(lambda g: max(0.0, g.n / 2.0 - 2.0))
-def balanced_partition_first(g: SignedGraph) -> Strategy:
+def balanced_partition_first(g: SignedGraph) -> Trace:
     """On a balanced graph: saturate the larger side of the sign
     partition first (within it, only frontier placements), then cross
     over. Guarantees at most n/2 - 2 confused vertices for n >= 4."""

@@ -189,9 +189,9 @@ def _at_most(label, got, bound):
 
 
 def _policy(label, g, policy, bound, exact=False):
-    """Replay policy(g): the run completes and confuses at most (or,
-    with exact, exactly) bound vertices."""
-    trace = run(g, policy(g))
+    """policy(g)'s run completes and confuses at most (or, with exact,
+    exactly) bound vertices."""
+    trace = policy(g)
     got = trace.confused_count()
     ok = got == bound if exact else got <= bound + 1e-9
     return (label, trace.complete and ok,

@@ -218,7 +218,7 @@ def test_criterion_7_degree_rescue_and_balance_bounds(corpus_bounds, capfd):
                 failures, got <= n - 2 - d, f"graph {idx}: {got} > n-2-degree = {n - 2 - d}"
             )
         if n >= 5 and d >= 3:
-            trace = run(g, rescue_priority(g))
+            trace = rescue_priority(g)
             cap = (1 - 2 / d) * n
             _check(
                 failures,
@@ -229,7 +229,7 @@ def test_criterion_7_degree_rescue_and_balance_bounds(corpus_bounds, capfd):
         g = _random_balanced(700 + i, 6 + i % 5)
         got = exact_confusion(g).optimum
         _check(failures, got <= g.n / 2 - 2, f"balanced seed {700 + i}: {got} > n/2-2")
-        trace = run(g, balanced_partition_first(g))
+        trace = balanced_partition_first(g)
         _check(
             failures,
             trace.complete and trace.confused_count() <= g.n / 2 - 2,

@@ -369,3 +369,22 @@ def test_solve_output_is_frozen(monkeypatch, capsys):
     for case, (label, argv, text) in zip(golden, cases):
         got = run_main(monkeypatch, capsys, argv, text)
         assert got == {k: case[k] for k in ("code", "stdout", "stderr")}, (label, argv)
+
+
+def test_greedy_on_the_empty_graph():
+    proc = run_cli("solve", "--greedy", "max_degree_first",
+                   stdin='{"schema": 1, "n": 0, "edges": []}')
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        '{"schema": 1, "optimum": 0, "witness": [], "optimal": false, '
+        '"policy": "max_degree_first", "bound": 0.0, "complete": true, "mode": "ID"}\n'
+    )
+
+
+def test_stdin_not_utf8_exit_1(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict")
+    got = run_main(monkeypatch, capsys, ["balance"], stdin)
+    assert got["code"] == 1 and got["stdout"] == ""
+    assert got["stderr"].startswith("error: cannot read stdin: ")
+    assert got["stderr"].count("\n") == 1 and got["stderr"].endswith("\n")
+    assert "Traceback" not in got["stderr"]

@@ -110,6 +110,39 @@ def test_run_validations():
     assert err is not None and err.step == 2
 
 
+@pytest.mark.parametrize("entry", [None, (2, Label.A), 2])
+def test_run_rejects_an_entry_that_is_not_a_placement(entry):
+    # the placements before the entry already complete path(3): run still
+    # reaches the entry and raises instead of stopping early
+    g = gen_path(3)
+    with pytest.raises(InputError, match="step 2: strategy entry .* is not a Placement"):
+        run(g, Strategy(MODE_ID, (Placement(1, Label.A), entry)))
+    with pytest.raises(InputError, match="step 1: "):
+        run(g, Strategy(MODE_ID, (entry,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 99999), st.integers(1, 9), st.booleans(), st.data())
+def test_run_returns_the_strategy_it_ran(seed, n, relaxed, data):
+    g = gen_random_connected(seed, n)
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    placements = []
+    for _ in range(data.draw(st.integers(0, n))):
+        zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
+        if not zeros:
+            break
+        info = data.draw(st.sampled_from([Label.A, Label.NEG_A])) if relaxed else Label.A
+        placements.append(Placement(data.draw(st.sampled_from(zeros)), info))
+        labels = ctx.step(labels, placements[-1].vertex, int(info))
+    strategy = Strategy(MODE_RID if relaxed else MODE_ID, tuple(placements))
+    trace = run(g, strategy)
+    assert trace.strategy == strategy
+    assert trace.steps == len(placements)
+    assert np.array_equal(trace.final, labels)
+    assert trace.complete == (not (labels == int(Label.ZERO)).any())
+
+
 def test_relaxed_mode_allows_negative_placement():
     g = gen_path(3, [-1, -1])
     trace = run(g, Strategy(MODE_RID, (Placement(1, Label.NEG_A),)))

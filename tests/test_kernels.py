@@ -42,12 +42,16 @@ def reference_step(g, labels, v, info):
 
 
 def reference_expand(g, labels, allow_neg):
-    """(children as label lists, moves, ccounts) by reference_step."""
+    """(children as label lists, moves, added, done) by reference_step:
+    added is each child's confused count minus labels', done whether the
+    child has no Zero vertex."""
     infos = (1, 2) if allow_neg else (1,)
     moves = [(v, info) for v in range(g.n) if labels[v] == int(Label.ZERO) for info in infos]
     children = [reference_step(g, labels, v, info).tolist() for v, info in moves]
-    ccounts = [child.count(int(Label.CONFUSED)) for child in children]
-    return children, moves, ccounts
+    held = int((labels == int(Label.CONFUSED)).sum())
+    added = [child.count(int(Label.CONFUSED)) - held for child in children]
+    done = [int(Label.ZERO) not in child for child in children]
+    return children, moves, added, done
 
 
 def assert_identical(a, b):
@@ -56,8 +60,8 @@ def assert_identical(a, b):
 
 
 def assert_expand_matches_reference(ctx, labels, allow_neg):
-    children, moves, ccounts = ctx.expand(pack(labels), allow_neg)
-    assert ([unpack(child, ctx.graph.n).tolist() for child in children], moves, ccounts) == (
+    children, moves, added, done = ctx.expand(pack(labels), allow_neg)
+    assert ([unpack(child, ctx.graph.n).tolist() for child in children], moves, added, done) == (
         reference_expand(ctx.graph, labels, allow_neg))
 
 
@@ -132,7 +136,7 @@ def test_expand_on_complete_state(g):
             labels = ctx.step(labels, v, int(Label.NEG_A))
     assert not (labels == int(Label.ZERO)).any()
     for allow_neg in (False, True):
-        assert ctx.expand(pack(labels), allow_neg) == ([], [], [])
+        assert ctx.expand(pack(labels), allow_neg) == ([], [], [], [])
         assert_expand_matches_reference(ctx, labels, allow_neg)
 
 
@@ -308,14 +312,16 @@ def test_bitset_children_equal_step_on_their_placements(case):
     # the two rounds check each other: each bitset child is the frontier step
     g, labels, allow_neg = case
     ctx = StepContext(g)
-    children, moves, ccounts = ctx.expand(pack(labels), allow_neg)
+    children, moves, added, done = ctx.expand(pack(labels), allow_neg)
     zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
     assert moves == [(v, info) for v in zeros for info in ((1, 2) if allow_neg else (1,))]
-    assert len(children) == len(ccounts) == len(moves)
-    for child, (v, info), ccount in zip(children, moves, ccounts):
+    assert len(children) == len(added) == len(done) == len(moves)
+    held = int((labels == int(Label.CONFUSED)).sum())
+    for child, (v, info), cost, complete in zip(children, moves, added, done):
         want = ctx.step(labels, v, info)
         assert_identical(unpack(child, g.n), want)
-        assert ccount == int((want == int(Label.CONFUSED)).sum())
+        assert cost == int((want == int(Label.CONFUSED)).sum()) - held
+        assert complete == (not (want == int(Label.ZERO)).any())
 
 
 def relabel(g, perm):
@@ -405,8 +411,8 @@ def test_step_monotone_labels(gl, info):
 def test_expand_row_order_is_lexicographic():
     g = gen_ktt_tau(3)
     ctx = StepContext(g)
-    children, moves, ccounts = ctx.expand(0, True)
+    children, moves, added, done = ctx.expand(0, True)
     assert moves == sorted(moves)
     assert len(moves) == 2 * g.n
     assert len(children) == 2 * g.n
-    assert len(ccounts) == 2 * g.n
+    assert len(added) == len(done) == 2 * g.n

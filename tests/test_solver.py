@@ -309,7 +309,7 @@ def test_exhausted_budget_falls_back_to_rescue_priority(solve, mode):
     report = solve(g, budget=Budget(nodes=1))
     assert not report.optimal and report.nodes <= 1
     assert report.witness.mode == mode == report.mode
-    assert report.witness.placements == rescue_priority(g).placements
+    assert report.witness.placements == rescue_priority(g).strategy.placements
     trace = run(g, report.witness)
     assert trace.complete
     if solve is min_steps:
