@@ -2,8 +2,8 @@
 
 Most tests shell out to a fresh interpreter, so these double as an
 install smoke test and as the contract for scripting against the tool.
-The frozen `solve` table and the stdin decoding test call cli.main in
-process.
+The frozen `solve` and `simulate` tables and the stdin decoding test
+call cli.main in process.
 """
 
 import io
@@ -17,11 +17,14 @@ from pathlib import Path
 import pytest
 
 from signedspread import cli
+from signedspread.engine import label_to_str
 from signedspread.families import FamilySpec
 from signedspread.graph import graph_to_json
+from signedspread.solver import exact_relaxed_confusion
 from signedspread.strategies import POLICIES
 
 SOLVE_JSON = Path(__file__).parent / "data" / "solve.json"
+SIMULATE_JSON = Path(__file__).parent / "data" / "simulate.json"
 
 
 def run_cli(*args, stdin=None, env=None, timeout=300):
@@ -365,6 +368,49 @@ def run_main(monkeypatch, capsys, argv, stdin):
 def test_solve_output_is_frozen(monkeypatch, capsys):
     golden = json.loads(SOLVE_JSON.read_text())
     cases = list(solve_cases())
+    assert [(c["graph"], c["argv"]) for c in golden] == [(label, argv) for label, argv, _ in cases]
+    for case, (label, argv, text) in zip(golden, cases):
+        got = run_main(monkeypatch, capsys, argv, text)
+        assert got == {k: case[k] for k in ("code", "stdout", "stderr")}, (label, argv)
+
+
+def _places(*specs):
+    return [arg for spec in specs for arg in ("--place", spec)]
+
+
+def simulate_cases():
+    """(graph label, simulate argv, graph JSON text) of every frozen case:
+    the tiny workload's path, rID gst(4,3) under its exact witness (all
+    four labels appear), one confused vertex, an incomplete run, n = 0
+    and 1, and the placement errors."""
+    path31 = FamilySpec.make("path", n=31)
+    gst = FamilySpec.make("gst", s=4, t=3)
+    cycle = FamilySpec.make("cycle", k=5, signs=[-1] * 5)
+    path9 = FamilySpec.make("path", n=9)
+    witness = exact_relaxed_confusion(gst.build()).witness.placements
+    rows = [
+        (path31, _places(*(f"{v}:A" for v in range(0, 31, 3)))),
+        (gst, ["--relaxed", *_places(*(f"{p.vertex}:{label_to_str(p.info)}" for p in witness))]),
+        (cycle, _places("0:A", "2:A")),
+        (cycle, [*_places("0:A", "2:A"), "--format", "dot"]),
+        (path9, _places("4:A")),
+        (None, []),
+        (FamilySpec.make("path", n=1), _places("0:A")),
+        (path9, _places("0:B")),
+        (path9, _places("0:-A")),
+        (path9, _places("0:A", "0:A")),
+        (path9, _places("9:A")),
+    ]
+    for spec, flags in rows:
+        if spec is None:
+            yield "empty(n=0)", ["simulate", *flags], '{"schema": 1, "n": 0, "edges": []}'
+        else:
+            yield spec.label(), ["simulate", *flags], json.dumps(graph_to_json(spec.build()))
+
+
+def test_simulate_output_is_frozen(monkeypatch, capsys):
+    golden = json.loads(SIMULATE_JSON.read_text())
+    cases = list(simulate_cases())
     assert [(c["graph"], c["argv"]) for c in golden] == [(label, argv) for label, argv, _ in cases]
     for case, (label, argv, text) in zip(golden, cases):
         got = run_main(monkeypatch, capsys, argv, text)
