@@ -21,11 +21,11 @@ from .engine import (
     Label,
     Placement,
     Strategy,
+    _dumps_trace,
     label_to_str,
     run,
     str_to_label,
     strategy_to_json,
-    trace_to_json,
 )
 from .errors import InputError, SignedSpreadError
 from .families import FamilySpec
@@ -222,7 +222,7 @@ def _cmd_simulate(args) -> tuple:
     trace = run(g, Strategy(mode, tuple(placements)))
     if args.format == "dot":
         return EXIT_OK, graph_to_dot(g, trace.final)
-    return EXIT_OK, json.dumps(trace_to_json(trace))
+    return EXIT_OK, _dumps_trace(trace)
 
 
 def _cmd_solve(args) -> tuple:

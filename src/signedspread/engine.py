@@ -11,6 +11,7 @@ mode every placement carries A; relaxed (rID) mode may place -A.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -47,6 +48,8 @@ _LABEL_STR = {Label.ZERO: "0", Label.A: "A", Label.NEG_A: "-A", Label.CONFUSED: 
 _STR_LABEL = {s: l for l, s in _LABEL_STR.items()}
 # label code -> its string, for whole snapshots at once
 _LABEL_STRS = np.array([_LABEL_STR[Label(code)] for code in range(len(Label))], dtype=object)
+# label code -> its JSON token, for snapshots written from their bytes
+_LABEL_TOKENS = tuple(json.dumps(text) for text in _LABEL_STRS)
 
 
 def label_to_str(label) -> str:
@@ -381,6 +384,10 @@ def strategy_from_json(mode: str, payload: Iterable[dict]) -> Strategy:
 
 
 def trace_to_json(trace: Trace) -> dict:
+    """The trace as a JSON document. `simulate` writes its json.dumps
+    text, byte for byte, through `_dumps_trace`; the hypothesis test
+    test_dumps_trace_equals_json_dumps_of_trace_to_json in
+    tests/test_engine.py ties the two."""
     return {
         "schema": 1,
         "graph": graph_to_json(trace.graph),
@@ -390,3 +397,23 @@ def trace_to_json(trace: Trace) -> dict:
         "confused": list(trace.confused()),
         "complete": trace.complete,
     }
+
+
+def _dumps_trace(trace: Trace) -> str:
+    """json.dumps(trace_to_json(trace)), byte for byte, without a str per
+    label: each snapshot, one int8 label code per vertex, is joined from
+    label tokens over its bytes."""
+    head = json.dumps({
+        "schema": 1,
+        "graph": graph_to_json(trace.graph),
+        "mode": trace.strategy.mode,
+        "placements": strategy_to_json(trace.strategy),
+    })
+    tail = json.dumps({"confused": list(trace.confused()), "complete": trace.complete})
+    tok = _LABEL_TOKENS
+    parts = [head[:-1], ', "snapshots": [']
+    for snap in trace.snapshots:
+        parts += ("[", ", ".join([tok[b] for b in snap.tobytes()]), "], ")
+    parts[-1] = "]], "  # the last snapshot closes the list
+    parts.append(tail[1:])
+    return "".join(parts)

@@ -365,13 +365,19 @@ def run_main(monkeypatch, capsys, argv, stdin):
             "stderr": err}
 
 
-def test_solve_output_is_frozen(monkeypatch, capsys):
-    golden = json.loads(SOLVE_JSON.read_text())
-    cases = list(solve_cases())
+def assert_frozen(monkeypatch, capsys, golden_path, cases):
+    """Each (graph label, argv, stdin) case gives the golden file's exit
+    code, stdout and stderr, and the file lists exactly these cases."""
+    golden = json.loads(golden_path.read_text())
+    cases = list(cases)
     assert [(c["graph"], c["argv"]) for c in golden] == [(label, argv) for label, argv, _ in cases]
     for case, (label, argv, text) in zip(golden, cases):
         got = run_main(monkeypatch, capsys, argv, text)
         assert got == {k: case[k] for k in ("code", "stdout", "stderr")}, (label, argv)
+
+
+def test_solve_output_is_frozen(monkeypatch, capsys):
+    assert_frozen(monkeypatch, capsys, SOLVE_JSON, solve_cases())
 
 
 def _places(*specs):
@@ -409,12 +415,20 @@ def simulate_cases():
 
 
 def test_simulate_output_is_frozen(monkeypatch, capsys):
-    golden = json.loads(SIMULATE_JSON.read_text())
-    cases = list(simulate_cases())
-    assert [(c["graph"], c["argv"]) for c in golden] == [(label, argv) for label, argv, _ in cases]
-    for case, (label, argv, text) in zip(golden, cases):
-        got = run_main(monkeypatch, capsys, argv, text)
-        assert got == {k: case[k] for k in ("code", "stdout", "stderr")}, (label, argv)
+    assert_frozen(monkeypatch, capsys, SIMULATE_JSON, simulate_cases())
+
+
+def test_simulate_output_file_equals_stdout(monkeypatch, capsys, tmp_path):
+    # a 102-step trace of path(301): the file holds stdout's bytes, one newline last
+    text = json.dumps(graph_to_json(FamilySpec.make("path", n=301).build()))
+    argv = ["simulate", *_places(*(f"{v}:A" for v in range(0, 301, 3)))]
+    shown = run_main(monkeypatch, capsys, argv, text)
+    target = tmp_path / "trace.json"
+    written = run_main(monkeypatch, capsys, [*argv, "-o", str(target)], text)
+    assert shown["code"] == written["code"] == 0
+    assert written["stdout"] == written["stderr"] == shown["stderr"] == ""
+    assert target.read_bytes() == shown["stdout"].encode()
+    assert shown["stdout"].endswith("}\n") and len(json.loads(shown["stdout"])["snapshots"]) == 102
 
 
 def test_greedy_on_the_empty_graph():

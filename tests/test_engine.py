@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from signedspread.engine import (
     StepContext,
     Strategy,
     Trace,
+    _dumps_trace,
     label_to_str,
     levels,
     mirror_trace,
@@ -121,20 +124,26 @@ def test_run_rejects_an_entry_that_is_not_a_placement(entry):
         run(g, Strategy(MODE_ID, (entry,)))
 
 
+def draw_prefix(draw, g, relaxed):
+    """A random legal placement prefix on g, and the labels after it."""
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    placements = []
+    for _ in range(draw(st.integers(0, g.n))):
+        zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
+        if not zeros:
+            break
+        info = draw(st.sampled_from([Label.A, Label.NEG_A])) if relaxed else Label.A
+        placements.append(Placement(draw(st.sampled_from(zeros)), info))
+        labels = ctx.step(labels, placements[-1].vertex, int(info))
+    return placements, labels
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 99999), st.integers(1, 9), st.booleans(), st.data())
 def test_run_returns_the_strategy_it_ran(seed, n, relaxed, data):
     g = gen_random_connected(seed, n)
-    ctx = StepContext(g)
-    labels = ctx.zeros_state()
-    placements = []
-    for _ in range(data.draw(st.integers(0, n))):
-        zeros = np.flatnonzero(labels == int(Label.ZERO)).tolist()
-        if not zeros:
-            break
-        info = data.draw(st.sampled_from([Label.A, Label.NEG_A])) if relaxed else Label.A
-        placements.append(Placement(data.draw(st.sampled_from(zeros)), info))
-        labels = ctx.step(labels, placements[-1].vertex, int(info))
+    placements, labels = draw_prefix(data.draw, g, relaxed)
     strategy = Strategy(MODE_RID if relaxed else MODE_ID, tuple(placements))
     trace = run(g, strategy)
     assert trace.strategy == strategy
@@ -261,3 +270,31 @@ def test_trace_json_snapshots_match_label_to_str():
     payload = trace_to_json(real)
     assert payload["snapshots"] == [[label_to_str(x) for x in s] for s in real.snapshots]
     assert all(type(x) is str for snap in payload["snapshots"] for x in snap)
+
+
+@st.composite
+def traces(draw):
+    """The run of a random legal placement prefix (so complete or not) on
+    a random graph with n from 0 to 12, in either mode; or a synthetic
+    trace whose snapshots hold random label codes, every code when n >= 4."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = SignedGraph.from_edge_list(
+        n, [(u, v, draw(st.sampled_from([1, -1]))) for u, v in pairs if draw(st.booleans())])
+    relaxed = draw(st.booleans())
+    mode = MODE_RID if relaxed else MODE_ID
+    if draw(st.booleans()):
+        codes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        snaps = np.array(draw(st.lists(codes, min_size=1, max_size=6)), dtype=np.int8)
+        snaps[0, :4] = [int(label) for label in Label][:n]
+        return Trace(g, Strategy(mode, ()), tuple(snaps), draw(st.booleans()))
+    placements, _ = draw_prefix(draw, g, relaxed)
+    return run(g, Strategy(mode, tuple(placements)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_dumps_trace_equals_json_dumps_of_trace_to_json(trace):
+    text = _dumps_trace(trace)
+    assert text == json.dumps(trace_to_json(trace))
+    assert json.loads(text) == trace_to_json(trace)
