@@ -50,6 +50,8 @@ _STR_LABEL = {s: l for l, s in _LABEL_STR.items()}
 _LABEL_STRS = np.array([_LABEL_STR[Label(code)] for code in range(len(Label))], dtype=object)
 # label code -> its JSON token, for snapshots written from their bytes
 _LABEL_TOKENS = tuple(json.dumps(text) for text in _LABEL_STRS)
+# vertices per snapshot chunk that _dumps_trace encodes once and reuses
+_SNAPSHOT_CHUNK = 64
 
 
 def label_to_str(label) -> str:
@@ -109,8 +111,9 @@ def _neighbour_masks(n, edges):
 
 class StepContext:
     """Per-graph adjacency for the broadcast round. step and hearing run
-    on int8 label arrays over the graph's per-vertex (neighbour, sign)
-    rows, O(n + m) memory at any n; expand runs on bitset states, ints
+    on int8 label arrays (other integer dtypes are converted on entry)
+    over the graph's per-vertex (neighbour, sign) rows, O(n + m) memory
+    at any n; expand runs on bitset states, ints
     a | b << n | c << 2n over the sets a, b and c of A, -A and C
     vertices, with the neighbour masks of _neighbour_masks (up
     to n^2/8 bytes), built on its first call. run, simulate and the
@@ -149,7 +152,9 @@ class StepContext:
 
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
         """labels after placing info on the Zero vertex `vertex` and one
-        round, as a read-only int8 view of bytes."""
+        round, as a read-only int8 view of bytes. labels of any other
+        integer dtype are read as int8 label codes."""
+        labels = np.asarray(labels, dtype=np.int8)
         senders = self._senders(labels)
         buf = bytearray(labels.tobytes())
         buf[vertex] = info
@@ -162,7 +167,9 @@ class StepContext:
 
     def hearing(self, labels: np.ndarray) -> np.ndarray:
         """Hearing bits (1: hears A, 2: hears -A, 3: both) of the Zero
-        vertices under the signals labels sends, 0 elsewhere."""
+        vertices under the signals labels sends, 0 elsewhere. labels of
+        any other integer dtype are read as int8 label codes."""
+        labels = np.asarray(labels, dtype=np.int8)
         heard = _heard(self.graph._adj, labels.tobytes(), self._senders(labels))
         out = np.zeros(self.graph.n, dtype=np.int8)
         out[list(heard)] = list(heard.values())
@@ -287,7 +294,7 @@ def step(g: SignedGraph, state: np.ndarray, placement: Placement,
     if labels.dtype.kind not in "iu" or (g.n and not 0 <= labels.min() <= labels.max() <= 3):
         raise InputError("state labels must be integer codes 0..3")
     info = _check_placement(g, labels, placement)
-    return ctx.step(labels.astype(np.int8, copy=False), placement.vertex, int(info))
+    return ctx.step(labels, placement.vertex, int(info))
 
 
 def _trace(g: SignedGraph, mode: str, ctx: StepContext, pick, count: int | None = None) -> Trace:
@@ -385,9 +392,10 @@ def strategy_from_json(mode: str, payload: Iterable[dict]) -> Strategy:
 
 def trace_to_json(trace: Trace) -> dict:
     """The trace as a JSON document. `simulate` writes its json.dumps
-    text, byte for byte, through `_dumps_trace`; the hypothesis test
-    test_dumps_trace_equals_json_dumps_of_trace_to_json in
-    tests/test_engine.py ties the two."""
+    text, byte for byte, through `_dumps_trace`, which encodes snapshot
+    chunks once and reuses their text; the tests named
+    test_dumps_trace_* in tests/test_engine.py tie the two, across chunk
+    boundaries too."""
     return {
         "schema": 1,
         "graph": graph_to_json(trace.graph),
@@ -401,8 +409,20 @@ def trace_to_json(trace: Trace) -> dict:
 
 def _dumps_trace(trace: Trace) -> str:
     """json.dumps(trace_to_json(trace)), byte for byte, without a str per
-    label: each snapshot, one int8 label code per vertex, is joined from
-    label tokens over its bytes."""
+    label. Each snapshot, one int8 label code per vertex, is cut into
+    _SNAPSHOT_CHUNK-vertex chunks of its bytes; a memo local to this call
+    maps each distinct chunk to its ", "-joined label tokens, and the
+    chunk texts go straight into the one list the document is joined
+    from.
+
+    A run informs each vertex once and never relabels it, so consecutive
+    snapshots differ only at the vertices the last round informed, and
+    each such vertex makes at most one new chunk. A trace of s snapshots
+    on n vertices then holds at most n + ceil(n/64) distinct chunks:
+    O(64 n) token work and s * ceil(n/64) dict lookups, against n * s
+    tokens when every snapshot is encoded whole. The bound holds only
+    for traces made by `run`, whose snapshots are int8; on snapshots that
+    differ everywhere every chunk is new and the memo only adds work."""
     head = json.dumps({
         "schema": 1,
         "graph": graph_to_json(trace.graph),
@@ -411,9 +431,23 @@ def _dumps_trace(trace: Trace) -> str:
     })
     tail = json.dumps({"confused": list(trace.confused()), "complete": trace.complete})
     tok = _LABEL_TOKENS
+    n = trace.graph.n
+    starts = range(0, n, _SNAPSHOT_CHUNK)
+    memo = {}
     parts = [head[:-1], ', "snapshots": [']
     for snap in trace.snapshots:
-        parts += ("[", ", ".join([tok[b] for b in snap.tobytes()]), "], ")
+        raw = snap.tobytes()
+        parts.append("[")
+        for i in starts:
+            chunk = raw[i:i + _SNAPSHOT_CHUNK]
+            text = memo.get(chunk)
+            if text is None:
+                text = memo[chunk] = ", ".join([tok[b] for b in chunk])
+            parts += (text, ", ")
+        if n:
+            parts[-1] = "], "  # the last chunk's separator closes the snapshot
+        else:
+            parts.append("], ")
     parts[-1] = "]], "  # the last snapshot closes the list
     parts.append(tail[1:])
     return "".join(parts)

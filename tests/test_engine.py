@@ -298,3 +298,68 @@ def test_dumps_trace_equals_json_dumps_of_trace_to_json(trace):
     text = _dumps_trace(trace)
     assert text == json.dumps(trace_to_json(trace))
     assert json.loads(text) == trace_to_json(trace)
+
+
+def relabeled_path(n, rng):
+    """path(n) with random edge signs and vertex v renamed p[v], and p."""
+    p = rng.permutation(n)
+    edges = [(int(p[v]), int(p[v + 1]), int(rng.choice([1, -1]))) for v in range(n - 1)]
+    return SignedGraph.from_edge_list(n, edges), p
+
+
+def random_run(g, rng, count):
+    """The rID run on g of up to count placements, each a random value
+    on a random Zero vertex."""
+    ctx = StepContext(g)
+    labels = ctx.zeros_state()
+    placements = []
+    while len(placements) < count and (labels == int(Label.ZERO)).any():
+        v = int(rng.choice(np.flatnonzero(labels == int(Label.ZERO))))
+        placements.append(Placement(v, Label(int(rng.integers(1, 3)))))
+        labels = ctx.step(labels, v, int(placements[-1].info))
+    return run(g, Strategy(MODE_RID, tuple(placements)))
+
+
+def assert_dumps_trace_matches(trace):
+    """_dumps_trace(trace) == json.dumps(trace_to_json(trace)); a mismatch
+    names the first differing character rather than diffing megabytes."""
+    text, want = _dumps_trace(trace), json.dumps(trace_to_json(trace))
+    if text != want:
+        at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), min(len(text), len(want)))
+        pytest.fail(f"lengths {len(text)}, {len(want)}; first difference at {at}: "
+                    f"{text[max(at - 30, 0):at + 30]!r} != {want[max(at - 30, 0):at + 30]!r}")
+
+
+# around the encoder's 64-vertex chunks: none, one short, one full, a
+# full one and a single vertex, two full ones and a single vertex
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_dumps_trace_across_chunk_boundaries(n):
+    rng = np.random.default_rng(n)
+    g, _ = relabeled_path(n, rng)
+    assert_dumps_trace_matches(random_run(g, rng, n))
+    snaps = rng.integers(0, 4, size=(5, n)).astype(np.int8)
+    assert_dumps_trace_matches(Trace(g, Strategy(MODE_RID, ()), tuple(snaps), False))
+
+
+def test_dumps_trace_on_the_simulate_benchmark_path():
+    # relabeled path(2002) placing every third vertex, as perfbench's
+    # simulate job does: 669 snapshots of 32 chunks each
+    g, p = relabeled_path(2002, np.random.default_rng(2001))
+    trace = run(g, Strategy(MODE_ID, tuple(Placement(int(p[v]), Label.A) for v in range(0, 2002, 3))))
+    assert trace.complete and len(trace.snapshots) == 669
+    assert_dumps_trace_matches(trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 2**32 - 1), st.booleans())
+def test_dumps_trace_equals_json_dumps_on_multi_chunk_traces(n, seed, synthetic):
+    """A random run, complete or not, on a relabeled path of up to 200
+    vertices; or up to 6 snapshots of random label codes."""
+    rng = np.random.default_rng(seed)
+    g, _ = relabeled_path(n, rng)
+    if synthetic:
+        snaps = rng.integers(0, 4, size=(int(rng.integers(1, 7)), n)).astype(np.int8)
+        trace = Trace(g, Strategy(MODE_RID, ()), tuple(snaps), False)
+    else:
+        trace = random_run(g, rng, int(rng.integers(0, n + 1)))
+    assert_dumps_trace_matches(trace)

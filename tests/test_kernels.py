@@ -54,6 +54,10 @@ def reference_expand(g, labels, allow_neg):
     return children, moves, added, done
 
 
+# label dtypes other than int8 that step and hearing must read as label codes
+OTHER_DTYPES = (np.int64, np.int32, np.uint8)
+
+
 def assert_identical(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert np.array_equal(a, b)
@@ -89,7 +93,10 @@ def test_step_matches_reference(gl, info, data):
     if len(zeros) == 0:
         return
     v = int(data.draw(st.sampled_from([int(z) for z in zeros])))
-    assert_identical(StepContext(g).step(labels, v, info), reference_step(g, labels, v, info))
+    want = StepContext(g).step(labels, v, info)
+    assert_identical(want, reference_step(g, labels, v, info))
+    for dtype in OTHER_DTYPES:  # read as int8 label codes, not as raw bytes
+        assert_identical(StepContext(g).step(labels.astype(dtype), v, info), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,6 +109,8 @@ def test_hearing_matches_pending_signals(gl):
     assert heard.dtype == np.int8
     assert np.array_equal(heard[zero] & 1 != 0, np.array(hears_p)[zero])
     assert np.array_equal(heard[zero] & 2 != 0, np.array(hears_m)[zero])
+    for dtype in OTHER_DTYPES:
+        assert_identical(StepContext(g).hearing(labels.astype(dtype)), heard)
 
 
 @settings(max_examples=100, deadline=None)
