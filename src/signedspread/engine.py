@@ -12,6 +12,9 @@ mode every placement carries A; relaxed (rID) mode may place -A.
 from __future__ import annotations
 
 import json
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -110,21 +113,20 @@ def _neighbour_masks(n, edges):
 
 
 class StepContext:
-    """Per-graph adjacency for the broadcast round. step and hearing run
-    on int8 label arrays (other integer dtypes are converted on entry)
-    over the graph's per-vertex (neighbour, sign) rows, O(n + m) memory
-    at any n; expand runs on bitset states, ints
-    a | b << n | c << 2n over the sets a, b and c of A, -A and C
-    vertices, with the neighbour masks of _neighbour_masks (up
-    to n^2/8 bytes), built on its first call. run, simulate and the
-    greedy policies never build the masks.
+    """Per-graph adjacency for one broadcast round. step runs on int8
+    label arrays (other integer dtypes are converted on entry) over the
+    graph's per-vertex (neighbour, sign) rows, O(n + m) memory at any n;
+    expand runs on bitset states, ints a | b << n | c << 2n over the
+    sets a, b and c of A, -A and C vertices, with the neighbour masks of
+    _neighbour_masks (up to n^2/8 bytes), built on its first call. Runs
+    step through engine._trace, which needs neither.
 
     A round leaves no Zero neighbour next to any vertex that sent in it,
     so only the vertices it informed (its frontier) and the next placed
     vertex can reach anyone in the next round. step returns read-only
     int8 views of bytes and remembers the last one with its frontier:
-    stepping or hearing that very object reads only the frontier's rows.
-    On any other state every transmitter (A or -A) is a sender.
+    stepping that very object reads only the frontier's rows. On any
+    other state every transmitter (A or -A) is a sender.
     """
 
     # perfbench's tracer keys its step byte count on this; it selects
@@ -153,7 +155,14 @@ class StepContext:
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
         """labels after placing info on the Zero vertex `vertex` and one
         round, as a read-only int8 view of bytes. labels of any other
-        integer dtype are read as int8 label codes."""
+        integer dtype are read as int8 label codes. A vertex out of range,
+        or an info other than A or -A, raises InputError; the labels
+        themselves, and whether the vertex is Zero, go unchecked here,
+        since engine.step checks them before it calls this."""
+        if not 0 <= vertex < self.graph.n:
+            raise InputError(f"vertex {vertex!r} out of range")
+        if info != _A and info != _NEG_A:
+            raise InputError(f"placed value must be A or -A, got {info!r}")
         labels = np.asarray(labels, dtype=np.int8)
         senders = self._senders(labels)
         buf = bytearray(labels.tobytes())
@@ -163,16 +172,6 @@ class StepContext:
             buf[w] = bits  # the hearing bits are the label codes A, -A, C
         out = np.frombuffer(bytes(buf), dtype=np.int8)
         self._last = out, [w for w, bits in heard.items() if bits != _CONFUSED]
-        return out
-
-    def hearing(self, labels: np.ndarray) -> np.ndarray:
-        """Hearing bits (1: hears A, 2: hears -A, 3: both) of the Zero
-        vertices under the signals labels sends, 0 elsewhere. labels of
-        any other integer dtype are read as int8 label codes."""
-        labels = np.asarray(labels, dtype=np.int8)
-        heard = _heard(self.graph._adj, labels.tobytes(), self._senders(labels))
-        out = np.zeros(self.graph.n, dtype=np.int8)
-        out[list(heard)] = list(heard.values())
         return out
 
     def expand(self, state: int, allow_neg: bool):
@@ -220,25 +219,100 @@ class StepContext:
         return children, moves, added, done
 
 
-@dataclass(eq=False)
-class Trace:
-    """A run of the process: snapshots[i] is the state after step i."""
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    graph: SignedGraph
-    strategy: Strategy
-    snapshots: tuple
-    complete: bool
+
+def _label_array(labels, n: int, what: str) -> np.ndarray:
+    """labels as an int8 array of n label codes, or InputError naming what:
+    a wrong shape, a non-integer dtype or a code outside 0..3."""
+    arr = np.asarray(labels)
+    if arr.shape != (n,):
+        raise InputError(f"{what} has shape {arr.shape}, expected {n} labels")
+    if arr.dtype.kind not in "iu" or (n and not 0 <= arr.min() <= arr.max() <= 3):
+        raise InputError(f"{what} labels must be integer codes 0..3")
+    return arr.astype(np.int8, copy=False)
+
+
+class _RunSnapshots(Sequence):
+    """The snapshots of a run, from its final labels and when: snapshot i
+    is final where when <= i and Zero elsewhere, a read-only int8 array
+    built on access in O(n). Iterating steps one bytearray forward,
+    writing only the vertices each step informed, so a pass over all s
+    snapshots writes n labels and copies s times n bytes, not s arrays
+    built whole."""
+
+    def __init__(self, final: np.ndarray, when: np.ndarray, count: int):
+        self.final, self.when, self._count = final, when, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(self._count)))
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("snapshot index out of range")
+        if i == self._count - 1:
+            return self.final
+        return _freeze(np.where(self.when <= i, self.final, np.int8(_ZERO)))
+
+    def __iter__(self):
+        final = self.final.tobytes()
+        order = np.argsort(self.when, kind="stable").tolist()
+        # ends[i]: how many vertices snapshot i has informed
+        ends = np.cumsum(np.bincount(self.when, minlength=self._count)).tolist()
+        buf = bytearray(len(final))
+        start = 0
+        for i in range(self._count):
+            for v in order[start:ends[i]]:
+                buf[v] = final[v]
+            start = ends[i]
+            yield np.frombuffer(bytes(buf), dtype=np.int8)
+
+
+class Trace:
+    """A run of the process: snapshots[i] is the state after step i, a
+    read-only int8 array of n label codes, and final is the last one.
+
+    A run informs each vertex once and never relabels it, so `when`
+    fixes a run with final: when[v] is the step that informed v, or
+    steps + 1 while v is Zero. A trace made by `run`, a policy or
+    mirror_trace keeps only these two arrays, and its snapshots is a
+    read-only sequence (_RunSnapshots) that builds each snapshot from
+    them. levels, mirror_trace, confused and == read final and when.
+
+    Trace(graph, strategy, snapshots, complete) builds a trace from its
+    snapshots and keeps them, each converted to a read-only int8 copy;
+    a snapshot of another length, a non-integer dtype or a code outside
+    0..3 raises InputError. Its when[v] is the first step, from 1, at
+    which v is nonzero."""
+
+    def __init__(self, graph: SignedGraph, strategy: Strategy, snapshots, complete: bool):
+        if isinstance(snapshots, _RunSnapshots):
+            when = snapshots.when
+        else:
+            snapshots = tuple(_freeze(np.array(_label_array(snap, graph.n, f"snapshot {i}")))
+                              for i, snap in enumerate(snapshots))
+            if not snapshots:
+                raise InputError("a trace needs at least one snapshot")
+            when = np.full(graph.n, len(snapshots), dtype=np.intc)
+            for i in range(len(snapshots) - 1, 0, -1):
+                when[snapshots[i] != _ZERO] = i
+            _freeze(when)
+        self.graph, self.strategy, self.complete = graph, strategy, complete
+        self.snapshots, self.final, self.when = snapshots, snapshots[-1], when
 
     @property
     def steps(self) -> int:
         return len(self.snapshots) - 1
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.snapshots[-1]
-
     def confused(self) -> tuple:
-        return tuple(int(v) for v in np.flatnonzero(self.final == int(Label.CONFUSED)))
+        return tuple(np.flatnonzero(self.final == _CONFUSED).tolist())
 
     def confused_count(self) -> int:
         return len(self.confused())
@@ -246,132 +320,153 @@ class Trace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.strategy == other.strategy
-            and self.complete == other.complete
-            and len(self.snapshots) == len(other.snapshots)
-            and all(
-                np.array_equal(a, b) for a, b in zip(self.snapshots, other.snapshots)
-            )
-        )
+        if not (self.graph == other.graph
+                and self.strategy == other.strategy
+                and self.complete == other.complete
+                and len(self.snapshots) == len(other.snapshots)
+                and np.array_equal(self.final, other.final)
+                and np.array_equal(self.when, other.when)):
+            return False
+        # a run's snapshots follow from final and when; hand-built ones need not
+        runs = isinstance(self.snapshots, _RunSnapshots) and isinstance(other.snapshots, _RunSnapshots)
+        return runs or all(np.array_equal(a, b) for a, b in zip(self.snapshots, other.snapshots))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _at(idx: int | None) -> str:
+    return "" if idx is None else f"step {idx}: "
 
 
-def _check_placement(g: SignedGraph, labels: np.ndarray, p: Placement,
-                     mode: str | None = None, idx: int | None = None) -> Label:
-    """The placed value, once p is checked legal on labels (and in mode)."""
-    where = "" if idx is None else f"step {idx}: "
+def _check_placement(g: SignedGraph, labels, p: Placement,
+                     mode: str | None = None, idx: int | None = None) -> Placement:
+    """p, once checked legal on labels (and in mode), with its vertex a
+    Python int and its value a Label. The vertex may be any integer but
+    a bool."""
     if not isinstance(p, Placement):
-        raise InputError(f"{where}strategy entry {p!r} is not a Placement")
+        raise InputError(f"{_at(idx)}strategy entry {p!r} is not a Placement")
     v = p.vertex
-    if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < g.n):
-        raise InputError(f"{where}placement vertex {v!r} out of range")
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < g.n):
+        raise InputError(f"{_at(idx)}placement vertex {v!r} out of range")
     try:
         info = Label(p.info)
     except ValueError:
-        raise InputError(f"{where}invalid placement value {p.info!r}") from None
+        raise InputError(f"{_at(idx)}invalid placement value {p.info!r}") from None
     if mode == MODE_ID and info is not Label.A:
-        raise StrategyError(f"{where}ID mode only places A", step=idx)
-    if info not in (Label.A, Label.NEG_A):
-        raise StrategyError(f"{where}placement value must be A or -A, got {info!r}", step=idx)
+        raise StrategyError(f"{_at(idx)}ID mode only places A", step=idx)
+    if info is not Label.A and info is not Label.NEG_A:
+        raise StrategyError(f"{_at(idx)}placement value must be A or -A, got {info!r}", step=idx)
     if labels[v] != _ZERO:
-        raise StrategyError(f"{where}vertex {v} is not Zero", step=idx)
-    return info
+        raise StrategyError(f"{_at(idx)}vertex {v} is not Zero", step=idx)
+    return p if type(v) is int and p.info is info else Placement(int(v), info)
 
 
 def step(g: SignedGraph, state: np.ndarray, placement: Placement,
          ctx: StepContext | None = None) -> np.ndarray:
     """Place on a Zero vertex and run one synchronous round."""
     ctx = ctx or StepContext(g)
-    labels = np.asarray(state)
-    if labels.shape != (g.n,):
-        raise InputError(f"state has shape {labels.shape}, expected {g.n} labels")
-    if labels.dtype.kind not in "iu" or (g.n and not 0 <= labels.min() <= labels.max() <= 3):
-        raise InputError("state labels must be integer codes 0..3")
-    info = _check_placement(g, labels, placement)
-    return ctx.step(labels, placement.vertex, int(info))
+    labels = _label_array(state, g.n, "state")
+    p = _check_placement(g, labels, placement)
+    return ctx.step(labels, p.vertex, int(p.info))
 
 
-def _trace(g: SignedGraph, mode: str, ctx: StepContext, pick, count: int | None = None) -> Trace:
+def _trace(g: SignedGraph, mode: str, pick, count: int | None = None) -> Trace:
     """The run from the all-Zero state whose i-th placement (from 0) is
-    pick(labels, i), checked by _check_placement on the state labels:
-    count placements, or with count None, until no vertex is Zero."""
-    labels = ctx.zeros_state()
-    placements, snapshots = [], [_freeze(labels.copy())]
-    while len(placements) != count if count is not None else (labels == _ZERO).any():
-        p = pick(labels, len(placements))
-        info = _check_placement(g, labels, p, mode, len(placements) + 1)
-        labels = ctx.step(labels, p.vertex, int(info))
+    pick(labels, heard, i), checked by _check_placement: count
+    placements, or with count None, until no vertex is Zero.
+
+    labels is the run's one bytearray of label codes, stepped in place.
+    heard maps each Zero vertex that the last round's frontier (the
+    vertices it informed) reaches to its hearing bits, as _heard gives
+    them. pick reads both and changes neither.
+
+    A round leaves no Zero neighbour next to any vertex that sent in it,
+    so only the frontier and the placed vertex send in the next round,
+    and heard is what a state sends. Each round computes heard once from
+    its frontier's rows, and a step adds only the placed vertex's row.
+    Each vertex is written once, with its step in when, and a counter of
+    Zero vertices ends the run. So a run costs O(n + m) plus O(1) per
+    placement, and O(n) memory, beyond what pick spends."""
+    n = g.n
+    rows = g._adj
+    labels = bytearray(n)
+    when = array("i", bytes(4 * n))
+    heard = {}
+    zeros = n
+    placements = []
+    i = 0  # steps taken
+    while i != count if count is not None else zeros:
+        p = _check_placement(g, labels, pick(labels, heard, i), mode, i + 1)
         placements.append(p)
-        snapshots.append(labels)
-    complete = not bool((labels == _ZERO).any())
-    return Trace(g, Strategy(mode, tuple(placements)), tuple(snapshots), complete)
+        i += 1
+        v, info = p.vertex, p.info
+        labels[v] = info
+        when[v] = i
+        heard.pop(v, None)
+        sends_a = 1 if info == _A else -1
+        for w, sign in rows[v]:
+            if not labels[w]:
+                heard[w] = heard.get(w, 0) | (_A if sign == sends_a else _NEG_A)
+        frontier = []
+        for w, bits in heard.items():
+            labels[w] = bits  # the hearing bits are the label codes A, -A, C
+            when[w] = i
+            if bits != _CONFUSED:
+                frontier.append(w)
+        zeros -= 1 + len(heard)
+        heard = _heard(rows, labels, frontier)
+    final = np.frombuffer(bytes(labels), dtype=np.int8)
+    informed = np.frombuffer(when, dtype=np.intc).copy()
+    informed[final == _ZERO] = i + 1
+    snapshots = _RunSnapshots(final, _freeze(informed), i + 1)
+    return Trace(g, Strategy(mode, tuple(placements)), snapshots, zeros == 0)
 
 
-def run(g: SignedGraph, strategy: Strategy, ctx: StepContext | None = None) -> Trace:
+def run(g: SignedGraph, strategy: Strategy) -> Trace:
     """Run a full strategy from the all-Zero state."""
     given = strategy.placements
-    return _trace(g, strategy.mode, ctx or StepContext(g), lambda labels, i: given[i], len(given))
+    return _trace(g, strategy.mode, lambda labels, heard, i: given[i], len(given))
+
+
+def _level_array(trace: Trace) -> np.ndarray:
+    if not trace.complete:
+        raise InputError("levels are defined only for complete traces")
+    out = trace.when.copy()
+    placements = trace.strategy.placements
+    out[[int(p.vertex) for p in placements]] = np.arange(len(placements))
+    return out
 
 
 def levels(trace: Trace) -> dict:
     """Level map of a complete trace.
 
     The j-th placed vertex has level j-1; every other vertex has the
-    first step index at which its label became nonzero.
+    first step index at which its label became nonzero, when[v].
     """
-    if not trace.complete:
-        raise InputError("levels are defined only for complete traces")
-    placed = {p.vertex: j for j, p in enumerate(trace.strategy.placements, start=1)}
-    out = {}
-    for v in range(trace.graph.n):
-        if v in placed:
-            out[v] = placed[v] - 1
-            continue
-        for i in range(1, len(trace.snapshots)):
-            if trace.snapshots[i][v] != _ZERO:
-                out[v] = i
-                break
-    return out
+    return dict(enumerate(_level_array(trace).tolist()))
 
 
 def mirror_trace(trace: Trace) -> Trace:
     """Mirror a complete rID trace onto the negated signature.
 
-    Placement values and snapshot labels are negated exactly on
-    odd-level vertices (confused stays confused); the result replays as
-    a valid complete trace on negate_signature(graph) with the same
-    confused set. Applying it twice returns the original trace.
+    Placement values and final labels are negated exactly on odd-level
+    vertices (confused stays confused), and when is kept, so every
+    snapshot is mirrored alike; the result replays as a valid complete
+    trace on negate_signature(graph) with the same confused set. Applying
+    it twice returns the original trace.
     """
     if trace.strategy.mode != MODE_RID:
         raise InputError("mirror_trace expects an rID trace")
     if not trace.complete:
         raise InputError("mirror_trace expects a complete trace")
-    lv = levels(trace)
-    odd = np.array([lv[v] % 2 == 1 for v in range(trace.graph.n)], dtype=bool)
+    odd = _level_array(trace) % 2 == 1
     placements = tuple(
-        Placement(p.vertex, p.info.negated() if odd[p.vertex] else Label(p.info))
+        Placement(p.vertex, Label(p.info).negated() if odd[p.vertex] else Label(p.info))
         for p in trace.strategy.placements
     )
-    snapshots = []
-    for snap in trace.snapshots:
-        out = snap.copy()
-        was_a = odd & (snap == int(Label.A))
-        was_neg = odd & (snap == int(Label.NEG_A))
-        out[was_a] = int(Label.NEG_A)
-        out[was_neg] = int(Label.A)
-        snapshots.append(_freeze(out))
-    return Trace(
-        graph=negate_signature(trace.graph),
-        strategy=Strategy(MODE_RID, placements),
-        snapshots=tuple(snapshots),
-        complete=True,
-    )
+    final = trace.final.copy()
+    final[odd & (trace.final == _A)] = _NEG_A
+    final[odd & (trace.final == _NEG_A)] = _A
+    snapshots = _RunSnapshots(_freeze(final), trace.when, len(trace.snapshots))
+    return Trace(negate_signature(trace.graph), Strategy(MODE_RID, placements), snapshots, True)
 
 
 def strategy_to_json(strategy: Strategy) -> list:
@@ -420,9 +515,11 @@ def _dumps_trace(trace: Trace) -> str:
     each such vertex makes at most one new chunk. A trace of s snapshots
     on n vertices then holds at most n + ceil(n/64) distinct chunks:
     O(64 n) token work and s * ceil(n/64) dict lookups, against n * s
-    tokens when every snapshot is encoded whole. The bound holds only
-    for traces made by `run`, whose snapshots are int8; on snapshots that
-    differ everywhere every chunk is new and the memo only adds work."""
+    tokens when every snapshot is encoded whole. A run's snapshots come
+    from its iterator, each stepped from the one before. Every trace's
+    snapshots are int8, one byte per vertex; the bound holds for runs,
+    and on hand-built snapshots that differ everywhere every chunk is new
+    and the memo only adds work."""
     head = json.dumps({
         "schema": 1,
         "graph": graph_to_json(trace.graph),

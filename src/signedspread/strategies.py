@@ -8,22 +8,30 @@ so each policy is deterministic.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .engine import _ZERO, MODE_ID, Label, Placement, StepContext, Strategy, Trace, _trace, run
+from .engine import _CONFUSED, MODE_ID, Label, Placement, Strategy, Trace, _trace, run
 from .errors import InputError
 from .graph import SignedGraph, is_balanced
 
 
-def _drive(g: SignedGraph, pick, ctx: StepContext | None = None) -> Trace:
-    """Run until no vertex is Zero, placing A on pick(labels, i) at step
-    i; ctx, if given, is g's StepContext, shared with pick."""
-    return _trace(g, MODE_ID, ctx or StepContext(g),
-                  lambda labels, i: Placement(pick(labels, i), Label.A))
+def _drive(g: SignedGraph, pick) -> Trace:
+    """Run until no vertex is Zero, placing A on pick(labels, heard, i)
+    at step i, with labels and heard as engine._trace gives them."""
+    return _trace(g, MODE_ID, lambda labels, heard, i: Placement(pick(labels, heard, i), Label.A))
 
 
-def _zeros(labels):
-    return np.flatnonzero(labels == _ZERO).tolist()
+def _first_zero(order):
+    """A function of a run's labels that gives the first vertex of order
+    still Zero in them, or None. A run never makes a vertex Zero again,
+    so that position only moves up: O(len(order)) over the whole run."""
+    pos = 0
+
+    def first(labels):
+        nonlocal pos
+        while pos < len(order) and labels[order[pos]]:
+            pos += 1
+        return order[pos] if pos < len(order) else None
+
+    return first
 
 
 POLICIES = {}
@@ -111,10 +119,12 @@ def max_degree_first(g: SignedGraph) -> Trace:
     if not g.connected():
         raise InputError("max_degree_first expects a connected graph")
 
-    def pick(labels, i):
+    smallest_zero = _first_zero(range(g.n))
+
+    def pick(labels, heard, i):
         if i == 0:
             return max(range(g.n), key=g.degree)  # the first of maximum degree
-        return _zeros(labels)[0]
+        return smallest_zero(labels)
 
     return _drive(g, pick)
 
@@ -124,29 +134,33 @@ def rescue_priority(g: SignedGraph) -> Trace:
     """Each step, place on a Zero vertex about to hear both values;
     failing that, one about to hear a single value; failing that, the
     smallest Zero vertex. Guarantees at most (1 - 2/max_degree) * n
-    confused vertices when max_degree >= 3."""
+    confused vertices when max_degree >= 3.
+
+    The vertices about to hear anything are those the last round's
+    frontier reaches, which the run computed as heard: each is picked
+    from at most once, so the picks cost O(n) over the whole run."""
     if not g.connected():
         raise InputError("rescue_priority expects a connected graph")
+    smallest_zero = _first_zero(range(g.n))
 
-    ctx = StepContext(g)
+    def pick(labels, heard, i):
+        both = [w for w, bits in heard.items() if bits == _CONFUSED]
+        if both:
+            return min(both)
+        return min(heard) if heard else smallest_zero(labels)
 
-    def pick(labels, i):
-        zeros = np.flatnonzero(labels == _ZERO)
-        heard = ctx.hearing(labels)[zeros]
-        for hit in (heard == 3, heard != 0):
-            first = np.flatnonzero(hit)
-            if len(first):
-                return int(zeros[first[0]])
-        return int(zeros[0])
-
-    return _drive(g, pick, ctx)
+    return _drive(g, pick)
 
 
 @_policy(lambda g: max(0.0, g.n / 2.0 - 2.0))
 def balanced_partition_first(g: SignedGraph) -> Trace:
     """On a balanced graph: saturate the larger side of the sign
     partition first (within it, only frontier placements), then cross
-    over. Guarantees at most n/2 - 2 confused vertices for n >= 4."""
+    over. Guarantees at most n/2 - 2 confused vertices for n >= 4.
+
+    A Zero vertex next to a transmitter is one the last round's frontier
+    reaches, a key of heard: each vertex is one at most once, so the
+    frontier picks cost O(n) over the whole run."""
     if not g.connected():
         raise InputError("balanced_partition_first expects a connected graph")
     if g.n < 4:
@@ -157,21 +171,18 @@ def balanced_partition_first(g: SignedGraph) -> Trace:
     side_a, side_b = set(part.u1), set(part.u2)
     if len(side_a) < len(side_b):
         side_a, side_b = side_b, side_a
+    order_a = sorted(side_a)
+    first = next((v for v in order_a if any(w in side_b for w in g.neighbors(v))), order_a[0])
+    first_zero_a, smallest_zero = _first_zero(order_a), _first_zero(range(g.n))
 
-    def pick(labels, i):
-        zeros = _zeros(labels)
-        first_zeros = [v for v in zeros if v in side_a]
-        if not first_zeros:
-            return zeros[0]
+    def pick(labels, heard, i):
         if i == 0:
-            for v in first_zeros:
-                if any(w in side_b for w in g.neighbors(v)):
-                    return v
-            return first_zeros[0]
-        for v in first_zeros:
-            if any(labels[w] in (1, 2) for w in g.neighbors(v)):
-                return v
-        return first_zeros[0]
+            return first
+        near = [w for w in heard if w in side_a]
+        if near:
+            return min(near)
+        v = first_zero_a(labels)
+        return smallest_zero(labels) if v is None else v
 
     return _drive(g, pick)
 

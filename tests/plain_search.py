@@ -1,12 +1,17 @@
-"""Plain references for the round and the exact solvers: the hearing rule
-in plain Python, and searches over int8 label arrays stepped one
-placement at a time with StepContext.step (the frontier round), with raw
-state keys, no orbit keys, no step bound and no thresholds. None of them
-uses the bitset kernel of StepContext.expand, which they check."""
+"""Plain references for the round, the runs, the placement policies and
+the exact solvers: the hearing rule and the round in plain Python; runs
+and the five policies' pick rules over whole snapshots, each stepped
+from the last by reference_step; and searches over int8 label arrays
+stepped one placement at a time with StepContext.step (the frontier
+round), with raw state keys, no orbit keys, no step bound and no
+thresholds. None of them uses the bitset kernel of StepContext.expand,
+or the run loop behind engine.run and the policies, which they check;
+assert_trace_matches_reference compares a Trace with a reference run."""
 
 import numpy as np
 
-from signedspread.engine import MODE_RID, Label, StepContext
+from signedspread.engine import MODE_RID, Label, StepContext, levels
+from signedspread.graph import is_balanced
 
 ZERO = int(Label.ZERO)
 A = int(Label.A)
@@ -35,6 +40,153 @@ def pending_signals(g, labels):
             else:
                 hears_m[v] = True
     return hears_p, hears_m
+
+
+def reference_step(g, labels, v, info):
+    """One round in plain Python, on the hearing rule of pending_signals."""
+    placed = labels.copy()
+    placed[v] = info
+    hears_p, hears_m = pending_signals(g, placed)
+    out = placed.copy()
+    for w in range(g.n):
+        if placed[w] != ZERO:
+            continue
+        if hears_p[w] and hears_m[w]:
+            out[w] = CONFUSED
+        elif hears_p[w]:
+            out[w] = A
+        elif hears_m[w]:
+            out[w] = NEG_A
+    return out
+
+
+def reference_run(g, pick, count=None):
+    """(placements, snapshots) of the run whose i-th placement is
+    pick(labels, i), a (vertex, value) pair: count placements, or with
+    count None, until no vertex is Zero. Every snapshot is a whole int8
+    array, stepped from the last by reference_step."""
+    labels = np.zeros(g.n, dtype=np.int8)
+    placements, snapshots = [], [labels]
+    while len(placements) != count if count is not None else (labels == ZERO).any():
+        v, info = pick(labels, len(placements))
+        placements.append((v, info))
+        labels = reference_step(g, labels, v, info)
+        snapshots.append(labels)
+    return placements, snapshots
+
+
+def reference_levels(placements, snapshots):
+    """levels as it was defined over whole snapshots: the j-th placed
+    vertex (from 1) has level j - 1, any other vertex the first step at
+    which its label is nonzero."""
+    placed = {v: j for j, (v, _) in enumerate(placements)}
+    return {v: placed[v] if v in placed else
+            next(i for i in range(1, len(snapshots)) if snapshots[i][v] != ZERO)
+            for v in range(len(snapshots[0]))}
+
+
+def assert_trace_matches_reference(trace, placements, snapshots):
+    """trace against reference_run's (placements, snapshots): its
+    placements, len, every snapshot by index and by iteration (each a
+    read-only int8 array), the last and final, confused(), complete, and
+    levels when complete."""
+    assert [(p.vertex, int(p.info)) for p in trace.strategy.placements] == placements
+    assert all(type(p.vertex) is int for p in trace.strategy.placements)
+    assert len(trace.snapshots) == len(snapshots) and trace.steps == len(placements)
+    want = [snap.tolist() for snap in snapshots]
+    by_index = [trace.snapshots[i] for i in range(len(snapshots))]
+    last = [trace.snapshots[-1], trace.final]
+    for got in (by_index, list(trace.snapshots), last):
+        assert all(snap.dtype == np.int8 and not snap.flags.writeable for snap in got)
+    assert [snap.tolist() for snap in by_index] == want
+    assert [snap.tolist() for snap in trace.snapshots] == want
+    assert [snap.tolist() for snap in last] == want[-1:] * 2
+    final = snapshots[-1]
+    assert trace.confused() == tuple(v for v in range(len(final)) if final[v] == CONFUSED)
+    assert trace.complete == (ZERO not in final.tolist())
+    if trace.complete:
+        assert levels(trace) == reference_levels(placements, snapshots)
+
+
+def _zeros(labels):
+    return [v for v in range(len(labels)) if labels[v] == ZERO]
+
+
+def reference_policy(g, pick):
+    """reference_run placing A on pick(labels, i) until no vertex is Zero."""
+    return reference_run(g, lambda labels, i: (pick(labels, i), A))
+
+
+def reference_rescue_priority(g):
+    """rescue_priority's rule on pending_signals: the first Zero vertex
+    about to hear both values, else the first about to hear one, else the
+    first Zero vertex."""
+    def pick(labels, i):
+        hp, hm = pending_signals(g, labels)
+        zeros = _zeros(labels)
+        return next((v for v in zeros if hp[v] and hm[v]),
+                    next((v for v in zeros if hp[v] or hm[v]), zeros[0]))
+
+    return reference_policy(g, pick)
+
+
+def reference_tree_frontier(g):
+    """tree_frontier's own rule: vertex 0 first, then the first Zero
+    vertex next to an informed one."""
+    def pick(labels, i):
+        return next(v for v in _zeros(labels) if i == 0 or any(
+            labels[w] in (A, NEG_A) for w in g.neighbors(v)))
+
+    return reference_policy(g, pick)
+
+
+def reference_max_degree_first(g):
+    """A maximum-degree vertex first (the smallest), then the first Zero
+    vertex."""
+    return reference_policy(
+        g, lambda labels, i: max(range(g.n), key=g.degree) if i == 0 else _zeros(labels)[0])
+
+
+def reference_balanced_partition_first(g):
+    """The first vertex of the larger sign side with a neighbour on the
+    other side (else the side's first), then the side's first Zero vertex
+    next to an informed one, else the side's first Zero vertex, else the
+    first Zero vertex."""
+    part = is_balanced(g)
+    side_a, side_b = set(part.u1), set(part.u2)
+    if len(side_a) < len(side_b):
+        side_a, side_b = side_b, side_a
+
+    def pick(labels, i):
+        zeros = _zeros(labels)
+        first_zeros = [v for v in zeros if v in side_a]
+        if not first_zeros:
+            return zeros[0]
+        near = [v for v in first_zeros if (any(w in side_b for w in g.neighbors(v)) if i == 0
+                                           else any(labels[w] in (A, NEG_A) for w in g.neighbors(v)))]
+        return (near or first_zeros)[0]
+
+    return reference_policy(g, pick)
+
+
+def reference_circuit_strategy(g):
+    """Walk the cycle from 0 towards its smaller neighbour and place on
+    every other vertex, the tail set by the length mod 3; on 5 vertices,
+    0 and 2 when all signs are negative, else the ends of the first run
+    of three edges with positive sign product."""
+    order = [0, min(g.neighbors(0))]
+    while len(order) < g.n:
+        order.append(next(w for w in g.neighbors(order[-1]) if w != order[-2]))
+    k, t = g.n, g.n // 3
+    if k == 5:
+        signs = [g.sign_of(order[j], order[(j + 1) % 5]) for j in range(5)]
+        starts = [j for j in range(5) if signs[j] * signs[(j + 1) % 5] * signs[(j + 2) % 5] > 0]
+        spots = [order[0], order[2]] if not starts else [order[starts[0]], order[(starts[0] + 3) % 5]]
+    else:
+        idxs = {0: [2 * i for i in range(t)], 1: [2 * i for i in range(t + 1)],
+                2: [0, 4] + [2 * i for i in range(3, t + 1)]}[k % 3]
+        spots = [order[j] for j in idxs]
+    return reference_run(g, lambda labels, i: (spots[i], A), len(spots))
 
 
 def pack(labels):

@@ -1,4 +1,5 @@
 import json
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from signedspread.families import gen_cycle, gen_gn, gen_gst, gen_path, gen_rand
 from signedspread.graph import SignedGraph, negate_signature
 from signedspread.solver import exact_relaxed_confusion
 
-from plain_search import pending_signals
+from plain_search import assert_trace_matches_reference, pending_signals, reference_run
 
 
 def test_label_negation_and_strings():
@@ -124,6 +125,28 @@ def test_run_rejects_an_entry_that_is_not_a_placement(entry):
         run(g, Strategy(MODE_ID, (entry,)))
 
 
+@pytest.mark.parametrize("vertex", [np.int64(1), np.int32(1), np.uint8(1)])
+def test_run_accepts_numpy_integer_vertices(vertex):
+    g = gen_path(3)
+    trace = run(g, Strategy("ID", [Placement(vertex, Label.A)]))
+    assert trace.complete and trace.strategy.placements == (Placement(1, Label.A),)
+    assert type(trace.strategy.placements[0].vertex) is int
+    assert json.dumps(strategy_to_json(trace.strategy)) == '[{"vertex": 1, "info": "A"}]'
+    assert list(step(g, [0] * 3, Placement(vertex, Label.A))) == [1, 1, 1]
+    for flag in (True, np.bool_(True)):  # a bool is not a vertex
+        with pytest.raises(InputError, match="out of range"):
+            run(g, Strategy("ID", [Placement(flag, Label.A)]))
+
+
+@pytest.mark.parametrize("vertex, info", [(-1, 1), (4, 1), (0, 0), (0, 3), (0, 7)])
+def test_step_context_checks_vertex_and_value(vertex, info):
+    # a bare IndexError, or a label no run can hold, before these checks
+    g = gen_path(4)
+    ctx = StepContext(g)
+    with pytest.raises(InputError):
+        ctx.step(ctx.zeros_state(), vertex, info)
+
+
 def draw_prefix(draw, g, relaxed):
     """A random legal placement prefix on g, and the labels after it."""
     ctx = StepContext(g)
@@ -150,6 +173,75 @@ def test_run_returns_the_strategy_it_ran(seed, n, relaxed, data):
     assert trace.steps == len(placements)
     assert np.array_equal(trace.final, labels)
     assert trace.complete == (not (labels == int(Label.ZERO)).any())
+
+
+def random_graph(draw, max_n):
+    """A graph on 0..max_n vertices with any subset of the pairs, each
+    edge of either sign: isolated vertices and disconnected graphs occur."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SignedGraph.from_edge_list(
+        n, [(u, v, draw(st.sampled_from([1, -1]))) for u, v in pairs if draw(st.booleans())])
+
+
+@st.composite
+def reference_runs(draw):
+    """(graph on n <= 12 vertices, mode, placements, snapshots): a prefix,
+    complete or not, of the plain reference run of random placements."""
+    g = random_graph(draw, 12)
+    relaxed = draw(st.booleans())
+
+    def pick(labels, i):
+        zeros = [v for v in range(g.n) if labels[v] == int(Label.ZERO)]
+        return draw(st.sampled_from(zeros)), draw(st.sampled_from([1, 2])) if relaxed else 1
+
+    placements, snapshots = reference_run(g, pick)
+    k = draw(st.integers(0, len(placements)))
+    return g, MODE_RID if relaxed else MODE_ID, placements[:k], snapshots[:k + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_runs())
+def test_run_matches_plain_reference(case):
+    g, mode, placements, snapshots = case
+    trace = run(g, Strategy(mode, tuple(Placement(v, Label(info)) for v, info in placements)))
+    assert_trace_matches_reference(trace, placements, snapshots)
+    if trace.complete and mode == MODE_RID:
+        assert mirror_trace(mirror_trace(trace)) == trace
+
+
+def test_run_snapshots_are_a_read_only_sequence():
+    g = gen_path(6)
+    trace = run(g, Strategy(MODE_ID, (Placement(0, Label.A), Placement(5, Label.A))))
+    snaps = trace.snapshots
+    assert isinstance(snaps, Sequence) and len(snaps) == 3
+    assert [s.tolist() for s in snaps[1:]] == [[1, 1, 0, 0, 0, 0], [1, 1, 1, 0, 1, 1]]
+    assert snaps[np.int64(-3)].tolist() == [0] * 6
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            snaps[i]
+    with pytest.raises(TypeError):
+        snaps[0] = snaps[1]
+    for snap in (snaps[0], snaps[1], *snaps):
+        with pytest.raises(ValueError):
+            snap[0] = int(Label.A)
+
+
+def test_trace_normalizes_hand_built_snapshots():
+    # int64 snapshots were once written as 8 labels per vertex
+    g = gen_path(4)
+    strategy = Strategy(MODE_ID, (Placement(0, Label.A), Placement(3, Label.A)))
+    given = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.int64)
+    trace = Trace(g, strategy, list(given), True)
+    assert all(s.dtype == np.int8 and not s.flags.writeable for s in trace.snapshots)
+    given[1, 2] = int(Label.CONFUSED)  # the trace keeps copies
+    assert trace == run(g, strategy) and levels(trace) == {0: 0, 1: 1, 2: 2, 3: 1}
+    assert _dumps_trace(trace) == json.dumps(trace_to_json(trace))
+    assert json.loads(_dumps_trace(trace))["snapshots"][1] == ["A", "A", "0", "0"]
+    for bad in ([[0, 0, 0]], [[0.0] * 4], [[0, 4, 0, 0]], [[0, -1, 0, 0]], [[True] * 4],
+                [[[0] * 4]], []):
+        with pytest.raises(InputError):
+            Trace(g, strategy, bad, True)
 
 
 def test_relaxed_mode_allows_negative_placement():
@@ -276,7 +368,8 @@ def test_trace_json_snapshots_match_label_to_str():
 def traces(draw):
     """The run of a random legal placement prefix (so complete or not) on
     a random graph with n from 0 to 12, in either mode; or a synthetic
-    trace whose snapshots hold random label codes, every code when n >= 4."""
+    trace whose snapshots hold random label codes, every code when n >= 4,
+    in int8 or a wider or unsigned integer dtype."""
     n = draw(st.integers(0, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = SignedGraph.from_edge_list(
@@ -285,7 +378,8 @@ def traces(draw):
     mode = MODE_RID if relaxed else MODE_ID
     if draw(st.booleans()):
         codes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-        snaps = np.array(draw(st.lists(codes, min_size=1, max_size=6)), dtype=np.int8)
+        dtype = draw(st.sampled_from([np.int8, np.int64, np.uint8]))
+        snaps = np.array(draw(st.lists(codes, min_size=1, max_size=6)), dtype=dtype)
         snaps[0, :4] = [int(label) for label in Label][:n]
         return Trace(g, Strategy(mode, ()), tuple(snaps), draw(st.booleans()))
     placements, _ = draw_prefix(draw, g, relaxed)

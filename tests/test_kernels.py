@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,27 +19,10 @@ from signedspread.engine import (
 from signedspread.families import gen_cycle, gen_ktt_tau, gen_path, gen_random_connected
 from signedspread.graph import SignedGraph, _edge_shift_arrays
 from signedspread.solver import exact_confusion, exact_relaxed_confusion, min_steps
+from signedspread.strategies import rescue_priority
 from signedspread.symmetry import automorphisms
 
-from plain_search import pack, pending_signals, unpack
-
-
-def reference_step(g, labels, v, info):
-    """One round in plain Python, on the hearing rule of pending_signals."""
-    placed = labels.copy()
-    placed[v] = info
-    hears_p, hears_m = pending_signals(g, placed)
-    out = placed.copy()
-    for w in range(g.n):
-        if placed[w] != int(Label.ZERO):
-            continue
-        if hears_p[w] and hears_m[w]:
-            out[w] = int(Label.CONFUSED)
-        elif hears_p[w]:
-            out[w] = int(Label.A)
-        elif hears_m[w]:
-            out[w] = int(Label.NEG_A)
-    return out
+from plain_search import pack, reference_step, unpack
 
 
 def reference_expand(g, labels, allow_neg):
@@ -54,7 +38,7 @@ def reference_expand(g, labels, allow_neg):
     return children, moves, added, done
 
 
-# label dtypes other than int8 that step and hearing must read as label codes
+# label dtypes other than int8 that step must read as label codes
 OTHER_DTYPES = (np.int64, np.int32, np.uint8)
 
 
@@ -97,20 +81,6 @@ def test_step_matches_reference(gl, info, data):
     assert_identical(want, reference_step(g, labels, v, info))
     for dtype in OTHER_DTYPES:  # read as int8 label codes, not as raw bytes
         assert_identical(StepContext(g).step(labels.astype(dtype), v, info), want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(random_states())
-def test_hearing_matches_pending_signals(gl):
-    g, labels = gl
-    heard = StepContext(g).hearing(labels)
-    hears_p, hears_m = pending_signals(g, labels)
-    zero = labels == int(Label.ZERO)
-    assert heard.dtype == np.int8
-    assert np.array_equal(heard[zero] & 1 != 0, np.array(hears_p)[zero])
-    assert np.array_equal(heard[zero] & 2 != 0, np.array(hears_m)[zero])
-    for dtype in OTHER_DTYPES:
-        assert_identical(StepContext(g).hearing(labels.astype(dtype)), heard)
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,21 +134,39 @@ def test_expand_matches_reference_on_mixed_states(signs):
 
 
 def test_run_never_builds_bit_masks():
-    # the neighbour masks take up to n^2/8 bytes; stepping reads only the
-    # per-vertex neighbour rows
+    # the neighbour masks take up to n^2/8 bytes (2 MB here), and a trace
+    # that kept a snapshot per step n bytes a step (5.3 MB over these 1,334
+    # steps); a run keeps one bytearray, when and its final labels, and
+    # reads the per-vertex neighbour rows, so its peak stays linear in n
     g = gen_path(4000)
-    ctx = StepContext(g)
+    g._adj  # the graph's own rows, built once per graph, are not the run's
     strategy = Strategy(MODE_ID, [Placement(v, Label.A) for v in range(0, g.n, 3)])
     tracemalloc.start()
     try:
-        trace = run(g, strategy, ctx)
+        trace = run(g, strategy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert trace.complete
-    assert "_masks" not in vars(ctx)
-    # the trace itself keeps 1,334 snapshots of n bytes, about 5.3 MB
-    assert peak < 2 * g.n * g.n // 4
+    assert peak < 40 * g.n  # 16 bytes a vertex measured
+
+
+def test_rescue_priority_on_a_path_of_100000_is_linear():
+    # one snapshot kept per step would take n * 50,001 bytes, 5 GB here
+    g = gen_path(100000)
+    start = time.perf_counter()
+    trace = rescue_priority(g)
+    assert time.perf_counter() - start < 5  # about 0.5 s on a 2-core VM
+    assert trace.complete and trace.steps == 50000
+    tracemalloc.start()
+    try:
+        again = rescue_priority(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == trace
+    # 6.3 MB measured: the 50,000 placements, when, final and the bytearray
+    assert peak < 160 * g.n
 
 
 class CountingRows:
@@ -197,11 +185,10 @@ def test_run_on_long_path_reads_a_few_rows_per_step():
     # each step reads the rows of the vertices the last round informed
     # (at most two on a path) and of the placed vertex, never all 2m entries
     g = gen_path(4000)
-    ctx = StepContext(g)
     # a round reads the rows the graph caches, so count reads there
     rows = vars(g)["_adj"] = CountingRows(g._adj)
     strategy = Strategy(MODE_ID, [Placement(v, Label.A) for v in range(0, g.n, 3)])
-    assert run(g, strategy, ctx).complete
+    assert run(g, strategy).complete
     assert rows.reads <= 2 * g.n
 
 
@@ -222,10 +209,10 @@ def test_step_outputs_are_read_only():
 def chain_frontier_steps(g, mode, picks, branch_at):
     """Step g through one context along picks ((index into the Zero
     vertices, place -A in rID)), checking every step against a fresh
-    context (every transmitter a sender) and reference_step, and its
-    hearing against pending_signals; then branch twice from the state
-    after branch_at steps, which the context no longer holds, as
-    brute_oracle does. Returns the last state of the chain."""
+    context (every transmitter a sender) and reference_step; then branch
+    twice from the state after branch_at steps, which the context no
+    longer holds, as brute_oracle does. Returns the last state of the
+    chain."""
     ctx = StepContext(g)
     labels = ctx.zeros_state()
     states = [labels]
@@ -234,11 +221,6 @@ def chain_frontier_steps(g, mode, picks, branch_at):
         after = ctx.step(labels, v, info)
         assert_identical(after, StepContext(g).step(labels, v, info))
         assert_identical(after, reference_step(g, labels, v, info))
-        hears_p, hears_m = pending_signals(g, after)
-        zero = after == int(Label.ZERO)
-        heard = ctx.hearing(after)
-        assert np.array_equal(heard[zero] & 1 != 0, np.array(hears_p)[zero])
-        assert np.array_equal(heard[zero] & 2 != 0, np.array(hears_m)[zero])
         return after
 
     def pick(labels, index, neg):

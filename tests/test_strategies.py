@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread.engine import Label, StepContext, run
+from signedspread import engine
+from signedspread.engine import Label, run
 from signedspread.errors import InputError
 from signedspread.families import (
     gen_cycle,
@@ -11,7 +12,6 @@ from signedspread.families import (
     gen_random_connected,
     gen_random_tree,
 )
-from signedspread import strategies
 from signedspread.graph import SignedGraph, switch
 from signedspread.strategies import (
     POLICIES,
@@ -23,7 +23,28 @@ from signedspread.strategies import (
     tree_frontier,
 )
 
-from plain_search import pending_signals
+from plain_search import (
+    assert_trace_matches_reference,
+    reference_balanced_partition_first,
+    reference_circuit_strategy,
+    reference_max_degree_first,
+    reference_rescue_priority,
+    reference_tree_frontier,
+)
+
+REFERENCES = {
+    "tree_frontier": reference_tree_frontier,
+    "circuit_strategy": reference_circuit_strategy,
+    "max_degree_first": reference_max_degree_first,
+    "rescue_priority": reference_rescue_priority,
+    "balanced_partition_first": reference_balanced_partition_first,
+}
+
+
+def reference_vertices(name, g):
+    """The vertices the named policy's plain reference places on g."""
+    placements, _ = REFERENCES[name](g)
+    return [v for v, _ in placements]
 
 
 def test_policies_registry():
@@ -47,27 +68,12 @@ def test_tree_frontier_zero_confusion(seed, n):
     assert trace.confused_count() == 0
 
 
-def reference_tree_frontier_placements(g):
-    """tree_frontier's own rule before it reused rescue_priority: vertex
-    0 first, then the first Zero vertex next to an informed one."""
-    ctx = StepContext(g)
-    labels = ctx.zeros_state()
-    placements = []
-    while (labels == int(Label.ZERO)).any():
-        zeros = [v for v in range(g.n) if labels[v] == int(Label.ZERO)]
-        v = next(v for v in zeros if not placements or any(
-            labels[w] in (int(Label.A), int(Label.NEG_A)) for w in g.neighbors(v)))
-        placements.append(v)
-        labels = ctx.step(labels, v, int(Label.A))
-    return placements
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 5000), st.sampled_from([1, 2, 3, 5, 8, 13, 30, 60]))
 def test_tree_frontier_is_its_frontier_rule(seed, n):
     g = gen_random_tree(seed, n)
     got = [pl.vertex for pl in tree_frontier(g).strategy.placements]
-    assert got == reference_tree_frontier_placements(g)
+    assert got == reference_vertices("tree_frontier", g)
 
 
 def test_tree_frontier_rejects_non_tree():
@@ -144,67 +150,52 @@ def test_policy_bound_values():
         policy_bound("nonsense", g)
 
 
-def reference_rescue_placements(g):
-    """rescue_priority's rule on the plain-Python pending_signals."""
-    ctx = StepContext(g)
-    labels = ctx.zeros_state()
-    placements = []
-    while (labels == int(Label.ZERO)).any():
-        hp, hm = pending_signals(g, labels)
-        zeros = [v for v in range(g.n) if labels[v] == int(Label.ZERO)]
-        v = next((v for v in zeros if hp[v] and hm[v]),
-                 next((v for v in zeros if hp[v] or hm[v]), zeros[0]))
-        placements.append(v)
-        labels = ctx.step(labels, v, int(Label.A))
-    return placements
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 5000), st.integers(3, 30), st.sampled_from([4, 8]))
 def test_rescue_priority_matches_pending_signals_pick(seed, n, mean_degree):
     g = gen_random_connected(seed, n, min(1.0, mean_degree / n))
     got = [pl.vertex for pl in rescue_priority(g).strategy.placements]
-    assert got == reference_rescue_placements(g)
+    assert got == reference_vertices("rescue_priority", g)
     assert all(type(v) is int for v in got)
 
 
 def test_rescue_priority_matches_pending_signals_pick_on_gst():
     g = gen_gst(30, 3)
     got = [pl.vertex for pl in rescue_priority(g).strategy.placements]
-    assert got == reference_rescue_placements(g)
+    assert got == reference_vertices("rescue_priority", g)
 
 
-def test_rescue_priority_builds_one_step_context(monkeypatch):
+def test_policies_build_no_step_context(monkeypatch):
+    # a policy's run steps one bytearray; it needs no per-graph context
     built = []
-
-    class Counting(StepContext):
-        def __init__(self, g):
-            built.append(g)
-            super().__init__(g)
-
-    monkeypatch.setattr(strategies, "StepContext", Counting)
-    rescue_priority(gen_gst(5, 3))
-    assert len(built) == 1
+    init = engine.StepContext.__init__
+    monkeypatch.setattr(engine.StepContext, "__init__",
+                        lambda ctx, g: built.append(g) or init(ctx, g))
+    for name, g in (("tree_frontier", gen_random_tree(3, 9)), ("circuit_strategy", gen_cycle(8)),
+                    ("max_degree_first", gen_gst(5, 3)), ("rescue_priority", gen_gst(5, 3)),
+                    ("balanced_partition_first", gen_gn(8))):
+        assert POLICIES[name](g).complete
+    assert built == []
 
 
 @st.composite
-def policy_inputs(draw):
-    """(policy name, graph) with the graph meeting the policy's
-    precondition: a tree, a cycle, a connected graph, or a connected
-    balanced graph on at least 4 vertices."""
+def policy_inputs(draw, max_n=30):
+    """(policy name, graph) with the graph, on at most max_n vertices,
+    meeting the policy's precondition: a tree, a cycle, a connected
+    graph, or a connected balanced graph on at least 4 vertices."""
     name = draw(st.sampled_from(sorted(POLICIES)))
     seed = draw(st.integers(0, 99999))
     if name == "tree_frontier":
-        g = gen_random_tree(seed, draw(st.integers(1, 30)))
+        g = gen_random_tree(seed, draw(st.integers(1, max_n)))
     elif name == "circuit_strategy":
-        k = draw(st.integers(3, 30))
+        k = draw(st.integers(3, max_n))
         g = gen_cycle(k, draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)))
     elif name == "balanced_partition_first":
-        n = draw(st.integers(4, 14))
+        n = draw(st.integers(4, min(14, max_n)))
         positive = gen_random_connected(seed, n, 0.4, neg_prob=0.0)
         g = switch(positive, draw(st.sets(st.integers(0, n - 1))))
     else:
-        g = gen_random_connected(seed, draw(st.integers(1, 30)), draw(st.sampled_from([0.2, 0.5])))
+        g = gen_random_connected(seed, draw(st.integers(1, max_n)), draw(st.sampled_from([0.2, 0.5])))
     return name, g
 
 
@@ -217,6 +208,15 @@ def test_policy_returns_its_complete_run(case):
     assert trace.strategy.mode == "ID"
     assert all(p.info is Label.A for p in trace.strategy.placements)
     assert trace == run(g, trace.strategy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy_inputs(12))
+def test_policy_matches_its_plain_reference(case):
+    # the reference picks from whole snapshots, each stepped by
+    # reference_step; the policy from the run's bytearray and heard
+    name, g = case
+    assert_trace_matches_reference(POLICIES[name](g), *REFERENCES[name](g))
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
