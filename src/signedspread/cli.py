@@ -82,7 +82,9 @@ def _read_graph(path: str | None):
         raise UsageError("expected a graph JSON document on input, got nothing")
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a JSONDecodeError is a ValueError, and so is an int literal longer
+    # than the int-string limit (sys.get_int_max_str_digits())
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
     return graph_from_json(payload)
 

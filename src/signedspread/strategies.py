@@ -62,13 +62,15 @@ def tree_frontier(g: SignedGraph) -> Trace:
 
 
 def _cycle_order(g: SignedGraph) -> list[int]:
-    order = [0, min(g.neighbors(0))]
+    """The vertices of g, a single cycle, in order around it from 0
+    toward its smaller neighbour."""
+    rows = g._adj
+    a, b = 0, rows[0][0][0]
+    order = [a, b]
     while len(order) < g.n:
-        a, b = order[-2], order[-1]
-        nxt = [w for w in g.neighbors(b) if w != a]
-        if len(nxt) != 1:
-            raise InputError("circuit_strategy expects a single cycle")
-        order.append(nxt[0])
+        (w, _), (x, _) = rows[b]
+        a, b = b, x if w == a else w
+        order.append(b)
     return order
 
 
@@ -78,7 +80,7 @@ def circuit_strategy(g: SignedGraph) -> Trace:
     of the length mod 3 deciding the tail. Guarantees zero confusion,
     except the all-negative 5-cycle, where one confused vertex is
     unavoidable and the strategy concedes exactly one."""
-    if g.n < 3 or not g.connected() or any(g.degree(v) != 2 for v in range(g.n)):
+    if g.n < 3 or {*map(len, g._adj)} != {2} or not g.connected():
         raise InputError("circuit_strategy expects a cycle of length >= 3")
     order = _cycle_order(g)
     k = g.n
@@ -123,7 +125,8 @@ def max_degree_first(g: SignedGraph) -> Trace:
 
     def pick(labels, heard, i):
         if i == 0:
-            return max(range(g.n), key=g.degree)  # the first of maximum degree
+            degrees = list(map(len, g._adj))
+            return degrees.index(max(degrees))  # the first of maximum degree
         return smallest_zero(labels)
 
     return _drive(g, pick)

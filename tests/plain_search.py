@@ -1,23 +1,108 @@
-"""Plain references for the round, the runs, the placement policies and
-the exact solvers: the hearing rule and the round in plain Python; runs
-and the five policies' pick rules over whole snapshots, each stepped
-from the last by reference_step; and searches over int8 label arrays
-stepped one placement at a time with StepContext.step (the frontier
-round), with raw state keys, no orbit keys, no step bound and no
-thresholds. None of them uses the bitset kernel of StepContext.expand,
-or the run loop behind engine.run and the policies, which they check;
+"""Plain references for reading a graph, the round, the runs, the
+placement policies and the exact solvers: SignedGraph.from_edge_list's
+and graph_from_json's per-edge loops as they were before the bulk test,
+and connectivity and maximum degree from the edge list; the hearing
+rule and the round in plain Python; runs and the five policies' pick
+rules over whole snapshots, each stepped from the last by
+reference_step; and searches over int8 label arrays stepped one
+placement at a time with StepContext.step (the frontier round), with
+raw state keys, no orbit keys, no step bound and no thresholds. None of
+them uses the bitset kernel of StepContext.expand, or the run loop
+behind engine.run and the policies, which they check;
 assert_trace_matches_reference compares a Trace with a reference run."""
 
 import numpy as np
 
 from signedspread.engine import MODE_RID, Label, StepContext, levels
-from signedspread.graph import is_balanced
+from signedspread.errors import InputError
+from signedspread.graph import JSON_MAX_N, SignedGraph, is_balanced
 
 ZERO = int(Label.ZERO)
 A = int(Label.A)
 NEG_A = int(Label.NEG_A)
 CONFUSED = int(Label.CONFUSED)
 
+
+
+def reference_from_edge_list(n, edges):
+    """SignedGraph.from_edge_list as one per-edge loop, with no bulk test."""
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    seen = set()
+    canon = []
+    for item in edges:
+        try:
+            u, v, s = item
+        except (TypeError, ValueError):
+            raise InputError(f"edge {item!r} is not a (u, v, sign) triple") from None
+        if (not (isinstance(u, int) and isinstance(v, int))
+                or isinstance(u, bool) or isinstance(v, bool)):
+            raise InputError(f"edge {item!r} has non-integer endpoints")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {u}-{v} out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        if isinstance(s, bool) or s not in (1, -1):
+            raise InputError(f"edge {u}-{v} has sign {s!r}, expected 1 or -1")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise InputError(f"duplicate edge {u}-{v}")
+        seen.add((u, v))
+        canon.append((u, v, int(s)))
+    canon.sort()
+    return SignedGraph(n, tuple(canon))
+
+
+def reference_graph_from_json(payload):
+    """graph_from_json reading every edge entry in a loop, then
+    reference_from_edge_list."""
+    if not isinstance(payload, dict):
+        raise InputError("graph JSON must be an object")
+    try:
+        n = payload["n"]
+        raw = payload["edges"]
+    except (KeyError, TypeError):
+        raise InputError("graph JSON needs 'n' and 'edges'") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError("'n' must be an integer")
+    if n > JSON_MAX_N:
+        raise InputError(f"'n' = {n} exceeds the graph JSON limit of {JSON_MAX_N}")
+    if not isinstance(raw, list):
+        raise InputError("'edges' must be a list")
+    edges = []
+    for item in raw:
+        if not isinstance(item, dict):
+            raise InputError(f"edge entry {item!r} must be an object")
+        try:
+            edges.append((item["u"], item["v"], item["sign"]))
+        except KeyError:
+            raise InputError(f"edge entry {item!r} needs 'u', 'v', 'sign'") from None
+    return reference_from_edge_list(n, edges)
+
+
+def reference_connected(g):
+    """Whether g is connected, by merging the ends of each edge in a
+    union-find over g.edges."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v, _ in g.edges:
+        parent[root(u)] = root(v)
+    return len({root(v) for v in range(g.n)}) <= 1
+
+
+def reference_max_degree(g):
+    """The largest number of edges of g.edges at one vertex, 0 when none."""
+    degree = [0] * g.n
+    for u, v, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return max(degree, default=0)
 
 def pending_signals(g, labels):
     """Per-vertex (hears A, hears -A) flags for the Zero vertices, in

@@ -27,14 +27,20 @@ SOLVE_JSON = Path(__file__).parent / "data" / "solve.json"
 SIMULATE_JSON = Path(__file__).parent / "data" / "simulate.json"
 
 
+# the directory that holds the signedspread these tests import, so that
+# the child interpreters run the same package, installed or not
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
 def run_cli(*args, stdin=None, env=None, timeout=300):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "signedspread", *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, **env} if env else None,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 
@@ -287,6 +293,9 @@ _PATH3 = '{"n": 3, "edges": [{"u": 0, "v": 1, "sign": 1}, {"u": 1, "v": 2, "sign
         pytest.param(["balance", "{tmp}/utf16.json"], None, "error: cannot read", id="not-utf8"),
         pytest.param(["balance"], "[" * 100000 + "\n", "error: input is not valid JSON:",
                      id="nested-too-deep"),
+        # past Python's int-string limit json.loads raises a plain ValueError
+        pytest.param(["solve"], '{"n": 1' + "0" * 5000 + ', "edges": []}',
+                     "error: input is not valid JSON:", id="int-too-long"),
     ],
 )
 def test_bad_input_or_output_file_exit_1(args, stdin, message, tmp_path):

@@ -1,3 +1,6 @@
+import re
+from enum import IntEnum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from signedspread.graph import (
     FRUSTRATION_SCAN_MAX_N,
     JSON_MAX_N,
     SignedGraph,
+    _bulk_canonical,
     _edge_shift_arrays,
     equivalent,
     frustration_index,
@@ -27,6 +31,13 @@ from signedspread.graph import (
     negative_cycles,
     realize_min_signature,
     switch,
+)
+
+from plain_search import (
+    reference_connected,
+    reference_from_edge_list,
+    reference_graph_from_json,
+    reference_max_degree,
 )
 
 
@@ -54,22 +65,52 @@ def test_from_edge_list_normalizes_and_sorts():
     assert g.degree(1) == 2 and g.max_degree() == 2
 
 
-@pytest.mark.parametrize(
-    "n,edges",
-    [
-        (3, [(0, 0, 1)]),  # self-loop
-        (3, [(0, 1, 1), (1, 0, -1)]),  # duplicate
-        (3, [(0, 3, 1)]),  # out of range
-        (3, [(0, 1, 2)]),  # bad sign
-        (3, [(0, 1)]),  # not a triple
-        (-1, []),
-        (3, [(True, 2, 1)]),  # boolean endpoint
-        (3, [(0, 2, True)]),  # boolean sign
-    ],
-)
-def test_from_edge_list_rejects(n, edges):
-    with pytest.raises(InputError):
+_EDGE_LIST_REJECTS = [
+    (3, [(0, 0, 1)], "self-loop at vertex 0"),
+    (3, [(0, 1, 1), (1, 0, -1)], "duplicate edge 0-1"),
+    (3, [(0, 3, 1)], "edge 0-3 out of range for n=3"),
+    (3, [(0, 1, 2)], "edge 0-1 has sign 2, expected 1 or -1"),
+    (3, [(0, 1)], "edge (0, 1) is not a (u, v, sign) triple"),
+    (-1, [], "vertex count must be nonnegative"),
+    (3, [(True, 2, 1)], "edge (True, 2, 1) has non-integer endpoints"),
+    (3, [(0, 2, True)], "edge 0-2 has sign True, expected 1 or -1"),
+    # the first bad edge in input order is the one named
+    (4, [(0, 1, 1), (2, 1, -1), (3, 3, 1), (0, 9, 1)], "self-loop at vertex 3"),
+    (4, [(2, 3, 1), (0, 1, -1), (3, 7, 1), (1, 1, 1)], "edge 3-7 out of range for n=4"),
+]
+
+
+# ids as pytest derives them from (n, edges) alone
+@pytest.mark.parametrize("n,edges,message", _EDGE_LIST_REJECTS,
+                         ids=[f"{n}-edges{i}" for i, (n, _, _) in enumerate(_EDGE_LIST_REJECTS)])
+def test_from_edge_list_rejects(n, edges, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         SignedGraph.from_edge_list(n, edges)
+
+
+class _Vertex(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+@pytest.mark.parametrize("k", [3, 40])  # below and above _BULK_MIN_EDGES
+@pytest.mark.parametrize(
+    "form, bulk",
+    [
+        (lambda e: [(0, 1, float(e[0][2]))] + e[1:], False),
+        (lambda e: [(_Vertex.ZERO, _Vertex.ONE, e[0][2])] + e[1:], False),
+        (lambda e: [list(edge) for edge in e], False),
+        (lambda e: (edge for edge in e), True),
+    ],
+    ids=["float-sign", "intenum-end", "list-triples", "generator"],
+)
+def test_from_edge_list_loop_inputs_match_int_tuples(form, bulk, k):
+    """A sign of 1.0, IntEnum ends and list triples, which only the
+    per-edge loop accepts, and a generator give the graph that plain int
+    tuples give; edges is the k-cycle, whose last edge has u > v."""
+    edges = [(i, (i + 1) % k, 1 if i % 2 else -1) for i in range(k)]
+    assert SignedGraph.from_edge_list(k, form(edges)) == SignedGraph.from_edge_list(k, edges)
+    assert (_bulk_canonical(k, list(form(edges))) is not None) == bulk
 
 
 def test_sign_of_missing_edge():
@@ -84,20 +125,129 @@ def test_json_roundtrip(g):
     assert graph_from_json(graph_to_json(g)) == g
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        [],
-        {"n": 3},
-        {"n": "3", "edges": []},
-        {"n": 3, "edges": [{"u": 0, "v": 1}]},
-        {"n": 3, "edges": [[0, 1, 1]]},
-        {"n": JSON_MAX_N + 1, "edges": []},
-    ],
-)
-def test_graph_from_json_rejects(payload):
-    with pytest.raises(InputError):
+_JSON_REJECTS = [
+    ([], "graph JSON must be an object"),
+    ({"n": 3}, "graph JSON needs 'n' and 'edges'"),
+    ({"n": "3", "edges": []}, "'n' must be an integer"),
+    ({"n": 3, "edges": [{"u": 0, "v": 1}]}, "edge entry {'u': 0, 'v': 1} needs 'u', 'v', 'sign'"),
+    ({"n": 3, "edges": [[0, 1, 1]]}, "edge entry [0, 1, 1] must be an object"),
+    ({"n": JSON_MAX_N + 1, "edges": []},
+     f"'n' = {JSON_MAX_N + 1} exceeds the graph JSON limit of {JSON_MAX_N}"),
+    # the first bad entry in input order is the one named
+    ({"n": 3, "edges": [{"u": 0, "v": 1, "sign": 1}, {"u": 1, "sign": 1}, [1, 2, 1]]},
+     "edge entry {'u': 1, 'sign': 1} needs 'u', 'v', 'sign'"),
+    ({"n": 3, "edges": [{"u": 0, "v": 1, "sign": 1}, None, {"u": 1}]},
+     "edge entry None must be an object"),
+]
+
+
+# ids as pytest derives them from payload alone
+@pytest.mark.parametrize("payload,message", _JSON_REJECTS,
+                         ids=[f"payload{i}" for i in range(len(_JSON_REJECTS))])
+def test_graph_from_json_rejects(payload, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         graph_from_json(payload)
+
+
+def _outcome(read, *args):
+    """repr of what read(*args) returns, or the text of its InputError."""
+    try:
+        return repr(read(*args))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+_BAD_ENDS = [-1, 9, True, False, 1.0, 2.5, "1", None, _Vertex.ONE]
+_BAD_SIGNS = [0, 2, True, -1.0, 1.0, "1", None, _Vertex.ONE]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, clean): distinct pairs with signs in any order, with
+    perturbations drawn on top; clean when the only perturbation is
+    swapped ends."""
+    n = draw(st.integers(0, 12))  # up to 66 pairs, past _BULK_MIN_EDGES
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.permutations(pairs)) if pairs else []
+    edges = [(u, v, draw(st.sampled_from([1, -1]))) for u, v in chosen[:draw(st.integers(0, len(chosen)))]]
+    clean = True
+    kinds = ["swap", "repeat", "loop", "end", "sign", "length", "list"]
+    # the last two change an item's shape, so they come after the others
+    for kind in sorted(draw(st.lists(st.sampled_from(kinds), max_size=3)), key=kinds.index):
+        if kind != "swap":
+            clean = False
+        if kind in ("swap", "repeat") and not edges:
+            continue
+        if kind == "swap":
+            i = draw(st.integers(0, len(edges) - 1))
+            u, v, s = edges[i]
+            edges[i] = (v, u, s)
+        elif kind == "repeat":
+            u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+            if draw(st.booleans()):
+                u, v = v, u
+            edges.insert(draw(st.integers(0, len(edges))), (u, v, draw(st.sampled_from([1, -1]))))
+        elif kind == "loop":
+            v = draw(st.integers(0, max(n - 1, 0)))
+            edges.insert(draw(st.integers(0, len(edges))), (v, v, 1))
+        elif kind in ("end", "sign") and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            item = list(edges[i])
+            if kind == "end":
+                item[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_ENDS))
+            else:
+                item[2] = draw(st.sampled_from(_BAD_SIGNS))
+            edges[i] = tuple(item)
+        elif kind == "length" and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            edges[i] = edges[i][:2] if draw(st.booleans()) else edges[i] + (1,)
+        elif kind == "list" and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            edges[i] = list(edges[i])
+    return n, edges, clean
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_from_edge_list_matches_per_edge_loop(case):
+    """from_edge_list, and the bulk test alone (from_edge_list leaves
+    short lists to the loop), against the per-edge loop."""
+    n, edges, clean = case
+    want = _outcome(reference_from_edge_list, n, edges)
+    assert _outcome(SignedGraph.from_edge_list, n, edges) == want
+    given_list = list(edges)
+    canon = _bulk_canonical(n, given_list)
+    assert given_list == edges  # left as it was
+    if canon is not None:
+        assert repr(SignedGraph(n, tuple(canon))) == want
+    if clean:
+        assert canon is not None  # a plain list passes the bulk test
+        g = SignedGraph.from_edge_list(n, edges)
+        assert g.connected() == reference_connected(g)
+        assert g.max_degree() == reference_max_degree(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.data())
+def test_graph_from_json_matches_per_edge_loop(case, data):
+    n, edges, _ = case
+    raw = [{"u": e[0], "v": e[1], "sign": e[2]} if len(e) == 3 else list(e) for e in edges]
+    if raw and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(raw) - 1))
+        entry = raw[i]
+        if data.draw(st.booleans()) and isinstance(entry, dict):
+            del entry[data.draw(st.sampled_from(["u", "v", "sign"]))]
+        else:
+            raw[i] = data.draw(st.sampled_from([[0, 1, 1], 7, "edge", None]))
+    payload = {"n": n, "edges": raw}
+    assert _outcome(graph_from_json, payload) == _outcome(reference_graph_from_json, payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_graphs(max_n=9))
+def test_connected_and_max_degree_match_references(g):
+    assert g.connected() == reference_connected(g)
+    assert g.max_degree() == reference_max_degree(g)
 
 
 @settings(max_examples=60, deadline=None)
