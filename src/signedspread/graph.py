@@ -366,6 +366,19 @@ def _smallest_witness_mask(shift_u, shift_v, eneg, masks) -> int:
     return int(masks[0])
 
 
+def _smallest_tied_mask(rows, tied) -> int:
+    """_smallest_witness_mask's rule on the plane scan's ints: rows[e] has
+    bit x set when edge e is negative under mask x, and tied a bit per
+    tied mask."""
+    for row in rows:
+        if not tied & (tied - 1):
+            break
+        negative = tied & row
+        if negative:
+            tied = negative
+    return (tied & -tied).bit_length() - 1
+
+
 def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     """Minimum negative-edge count over the switching class, with witness.
 
@@ -380,6 +393,12 @@ def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
         raise CapacityError(f"frustration_index capped at n <= {cap}, got {g.n}")
     if g.m == 0:
         return 0, frozenset()
+    if g.m << (g.n - 1) <= _kernels.PLANE_SCAN_MAX_BITS:
+        best, tied, rows = _kernels.frustration_scan_planes(g.n, g.edges)
+        if best == 0:
+            return 0, frozenset()
+        mask = _smallest_tied_mask(rows, tied)
+        return best, frozenset(e[:2] for e, row in zip(g.edges, rows) if row >> mask & 1)
     shift_u, shift_v, eneg = _edge_shift_arrays(g)
     n_masks = 1 << max(0, g.n - 1)
     best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, n_masks)

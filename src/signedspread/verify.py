@@ -631,7 +631,8 @@ class ExploreReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-# the corpus costs about max_n^3, and the exact solvers skip n > 15
+# the corpus costs about max_n^3, and the exact solvers skip n > 15; the
+# random instances are built before that skip, so they share the cap
 FAMILY_MAX_N = 100
 
 
@@ -661,6 +662,8 @@ def family_instances(max_n: int = 12):
 def random_instances(count: int = 100, max_n: int = 8, seed: int = 7):
     if max_n < 3:
         raise InputError(f"random instances need max_n >= 3, got {max_n}")
+    if max_n > FAMILY_MAX_N:
+        raise InputError(f"random instances need max_n <= {FAMILY_MAX_N}, got {max_n}")
     if count < 0:
         raise InputError(f"random instance count must be >= 0, got {count}")
     if seed < 0:

@@ -269,6 +269,7 @@ def test_explore_random_max_n_below_3_exit_1(max_n):
         (("--random", "-3"), "error: random instance count must be >= 0, got -3\n"),
         (("--max-n", "2"), "error: family instances need max_n >= 3, got 2\n"),
         (("--max-n", "101"), "error: family instances need max_n <= 100, got 101\n"),
+        (("--random-max-n", "101"), "error: random instances need max_n <= 100, got 101\n"),
     ],
 )
 def test_explore_empty_corpus_exit_1(flags, message):

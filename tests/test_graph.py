@@ -433,12 +433,60 @@ def negatives_after_switch(g, mask):
     ],
 )
 def test_frustration_witness_matches_smallest_sorted_rule(g):
-    """The witness is the smallest sorted negative edge list over every
-    tied mask of the scan, picked the slow way here."""
+    assert frustration_index(g) == smallest_sorted_rule(g)
+
+
+def smallest_sorted_rule(g):
+    """The minimum, and the smallest sorted negative edge list over every
+    tied mask of the numpy scan, picked the slow way."""
     shift_u, shift_v, eneg = _edge_shift_arrays(g)
     best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, 1 << (g.n - 1))
-    want = min(sorted(negatives_after_switch(g, int(mask))) for mask in masks)
-    assert frustration_index(g) == (best, frozenset(want))
+    return best, frozenset(min(sorted(negatives_after_switch(g, int(mask))) for mask in masks))
+
+
+@pytest.mark.parametrize("admitted", [True, False])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_frustration_path_is_chosen_by_size(monkeypatch, admitted, seed):
+    # at n = 15, the densest graphs the plane scan takes (m * 2^14 equal to
+    # the constant) and the lightest it leaves to the numpy table
+    m = (_kernels.PLANE_SCAN_MAX_BITS >> 14) + (not admitted)
+    g = _sparse_random(seed, 15, m)
+    assert (g.m << 14 <= _kernels.PLANE_SCAN_MAX_BITS) == admitted
+    want = smallest_sorted_rule(g)
+    calls = []
+    numpy_scan = _kernels.frustration_scan_numpy
+
+    def counting_scan(*args):
+        calls.append(args)
+        return numpy_scan(*args)
+
+    monkeypatch.setattr(_kernels, "frustration_scan_numpy", counting_scan)
+    assert frustration_index(g) == want
+    assert len(calls) == (0 if admitted else 1)
+
+
+def _triangle_and_two_edges(seed, n):
+    """An all-negative triangle and two random signed edges: most vertices
+    are isolated, so many switchings tie at a nonzero minimum."""
+    rng = np.random.default_rng(seed)
+    a, b, c = sorted(rng.choice(n, 3, replace=False).tolist())
+    edges = {(a, b): -1, (a, c): -1, (b, c): -1}
+    while len(edges) < 5:
+        u, v = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.setdefault((u, v), int(rng.choice([1, -1])))
+    return SignedGraph.from_edge_list(n, [(u, v, s) for (u, v), s in edges.items()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 99999), st.integers(12, 18), st.sampled_from([None, 0.2, 0.5]))
+def test_frustration_on_both_sides_of_the_gate(seed, n, edge_prob):
+    # the tie-heavy graphs (m = 5) take the plane scan up to n = 18; the
+    # random ones take it up to n = 15 or 16, and the numpy table above
+    if edge_prob is None:
+        g = _triangle_and_two_edges(seed, n)
+    else:
+        g = gen_random_connected(seed, n, edge_prob)
+    assert frustration_index(g) == smallest_sorted_rule(g)
 
 
 def test_frustration_zero_iff_balanced():

@@ -385,6 +385,38 @@ def test_frustration_scan_matches_reference(case):
     assert (best, masks.tolist()) == reference_scan(n, edges)
 
 
+def reference_rows(n, edges):
+    """Per edge, the int whose bit x is 1 when the edge is negative after
+    switching mask x, one mask at a time."""
+    rows = []
+    for u, v, s in edges:
+        row = 0
+        for mask in range(1 << (n - 1)):
+            side_u = u and (mask >> (u - 1)) & 1
+            side_v = v and (mask >> (v - 1)) & 1
+            row |= ((s < 0) != (side_u != side_v)) << mask
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_edge_lists())
+@example((1, []))
+@example((2, [(0, 1, -1)]))
+@example((10, [(0, 9, -1), (0, 4, 1), (4, 9, 1)]))  # edges at vertex 0, 6 isolated
+@example((9, [(0, 1, -1), (2, 3, -1), (3, 8, -1), (2, 8, -1), (5, 6, 1)]))  # 3 parts
+@example((8, [(u, v, -1) for u in range(8) for v in range(u + 1, 8)]))  # counts up to 28
+def test_plane_scan_matches_numpy_scan(case):
+    n, edges = case
+    shifts = _edge_shift_arrays(SignedGraph.from_edge_list(n, edges))
+    best, masks = _kernels.frustration_scan_numpy(*shifts, 1 << (n - 1))
+    plane_best, tied, rows = _kernels.frustration_scan_planes(n, edges)
+    assert plane_best == best
+    assert [x for x in range(1 << (n - 1)) if tied >> x & 1] == masks.tolist()
+    assert tied >> (1 << (n - 1)) == 0
+    assert rows == reference_rows(n, edges)
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_states(), st.sampled_from([1, 2]))
 def test_step_monotone_labels(gl, info):
