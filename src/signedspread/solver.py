@@ -15,12 +15,11 @@ included, is its memo key.
 
 _within(state, c) asks whether the state can complete at cost at most
 c. It skips a child that costs more than c on its own and stops at the
-first child that fits in what is left. The memo holds two proven bounds
-per key: _fit, the cost of some completion, set when a call succeeds,
-and _need, a lower bound on every completion. A call that fails stores
-the least total its children showed, which exceeds c (fail-soft), and
-the root loop raises c straight to that bound until a call succeeds, so
-the first c that fits is the optimum.
+first child that fits in what is left. The memo holds _need, a proven
+lower bound on every completion of a key. A call that fails stores the
+least total its children showed, which exceeds c (fail-soft), and the
+root loop raises c straight to that bound until a call succeeds, so the
+first c that fits is the optimum.
 
 Keys are states up to symmetry. The process commutes with the graph's
 signed automorphisms (vertex permutations that keep every edge and its
@@ -34,15 +33,16 @@ are found in numpy: a node's children are unpacked to int8 label rows in
 one pass, and their representatives packed back to ints. A smaller
 search, which never finds the group, never unpacks a state.
 
-The witness walk goes from the root and takes the first child in
-lexicographic order that completes within what is left of the optimum.
-This is the lexicographically smallest optimal placement sequence, the
-one a search without orbit keys or thresholds settles on. The memo
-answers most of the walk's questions; a child it cannot answer is
-searched, and such searches add to the node count but are not held to
-the budget, since the optimum is already proven. A solve whose budget
-runs out reports the rescue_priority strategy instead, marked not
-optimal.
+The witness is read off the round that fits. A call succeeds only when
+every call above it does, since a child's success returns at once
+through its ancestors, so a failed round has no success in it. In the
+round that fits, each call on the success chain takes the first child
+in lexicographic order that completes within what is left, and every
+answer it reads is exact. Each such call records its move as it
+returns, and those moves, root first, are the lexicographically
+smallest optimal placement sequence: the one a search without orbit
+keys or thresholds settles on. A solve whose budget runs out reports
+the rescue_priority strategy instead, marked not optimal.
 
 min_steps also prunes with _StepBound, a ball-counting bound (the
 covering argument behind the burning number): a state it rules out at
@@ -103,6 +103,8 @@ class Budget:
             raise InputError(f"node budget must be nonnegative, got {self.nodes}")
         if self.seconds is not None and not self.seconds >= 0:  # also rejects NaN
             raise InputError(f"time budget must be nonnegative, got {self.seconds}")
+        if self.max_n is not None and self.max_n < 0:
+            raise InputError(f"size cap must be nonnegative, got {self.max_n}")
 
     def cap(self, default: int) -> int:
         return default if self.max_n is None else self.max_n
@@ -139,7 +141,6 @@ class SolveReport:
 class _Limits:
     def __init__(self, budget: Budget):
         self.nodes_used = 0
-        self.enforced = True  # False: count nodes, never raise
         self._max_nodes = budget.nodes
         self._deadline = (
             time.perf_counter() + budget.seconds if budget.seconds is not None else None
@@ -149,11 +150,10 @@ class _Limits:
         return self._deadline is not None and time.perf_counter() > self._deadline
 
     def charge(self):
-        if self.enforced:
-            if self._max_nodes is not None and self.nodes_used >= self._max_nodes:
-                raise BudgetExceeded("node budget exhausted")
-            if self.expired():
-                raise BudgetExceeded("time budget exhausted")
+        if self._max_nodes is not None and self.nodes_used >= self._max_nodes:
+            raise BudgetExceeded("node budget exhausted")
+        if self.expired():
+            raise BudgetExceeded("time budget exhausted")
         self.nodes_used += 1
 
 
@@ -290,10 +290,10 @@ class _Search:
         self._allow_neg = allow_neg
         self._limits = limits
         self._need = {}
-        self._fit = {}
+        self._moves = []  # the success chain's moves, last placement first
         self._orbit_key = orbit_key
         self._bound = bound
-        self._root = None  # the root's expansion, kept across thresholds and for the walk
+        self._root = None  # the root's expansion, kept across thresholds
         self._n = ctx.graph.n
         # Ski rental: finding the group costs about as much as 2n nodes,
         # so it runs only once the search has spent that many. A solve
@@ -326,21 +326,16 @@ class _Search:
         perms = automorphisms(self._ctx.graph, self._limits.expired)
         if perms is not None:
             self._orbit_key = _OrbitKey(perms, self._allow_neg)
-            self._need = self._rekey(self._need, max)
-            self._fit = self._rekey(self._fit, min)
-
-    def _rekey(self, memo: dict, pick) -> dict:
-        keys = list(memo)
-        merged = {}
-        for key, rep in zip(keys, self._orbit_key.keys(keys)):
-            merged[rep] = pick(merged.get(rep, memo[key]), memo[key])
-        return merged
+            keys = list(self._need)
+            merged = {}
+            for key, rep in zip(keys, self._orbit_key.keys(keys)):
+                merged[rep] = max(merged.get(rep, 0), self._need[key])
+            self._need = merged
 
     def _within(self, state: int, key: int, c: int, at_root: bool = False) -> bool:
-        """Whether state can complete at cost at most c. On return,
-        _fit[key] <= c if so and _need[key] > c if not."""
-        if self._fit.get(key, c + 1) <= c:
-            return True
+        """Whether state can complete at cost at most c. If so, the
+        moves of a completion are on _moves, last placement first;
+        if not, _need[key] > c."""
         if self._need.get(key, 0) > c:
             return False
         if self._bound is not None and self._bound.cuts(state, c):
@@ -355,14 +350,11 @@ class _Search:
         for i, cost in enumerate(node.costs):
             if cost > c:
                 need = min(need, cost)
-            elif node.done[i]:
-                self._fit[key] = cost
+            elif node.done[i] or self._within(node.children[i], child := self._key(node, i),
+                                              c - cost):
+                self._moves.append(node.moves[i])
                 return True
-            else:
-                child = self._key(node, i)
-                if self._within(node.children[i], child, c - cost):
-                    self._fit[key] = cost + self._fit[child]
-                    return True
+            else:  # the key the child's call stored under, even if it rekeyed
                 need = min(need, cost + self._need[child])
         self._need[key] = need
         return False
@@ -376,31 +368,10 @@ class _Search:
             c = self._need[0]
         return c
 
-    def witness(self, optimum: int) -> list:
-        """The lexicographically smallest optimal placements from the
-        root that optimum() searched.
-
-        At each state it takes the first child that completes within
-        what is left of the optimum. The memo answers most of these
-        questions; where it cannot (a bound proved at another threshold,
-        or a state whose bounds came from an orbit-mate), the walk
-        searches the child. Those searches are counted in the nodes but
-        never charged against the budget, so a search that proved its
-        optimum keeps it.
-        """
-        placements, state, left, done = [], 0, optimum, not self._n
-        self._limits.enforced = False
-        try:
-            while not done:
-                node = self._expand(state, not placements)
-                i = next(i for i, cost in enumerate(node.costs) if cost <= left and (
-                    node.done[i] or self._within(node.children[i], self._key(node, i), left - cost)))
-                vertex, info = node.moves[i]
-                placements.append(Placement(vertex, Label(info)))
-                state, left, done = node.children[i], left - node.costs[i], node.done[i]
-        finally:
-            self._limits.enforced = True
-        return placements
+    def witness(self) -> list:
+        """The lexicographically smallest optimal placements, read off
+        the round of optimum() that fit."""
+        return [Placement(vertex, Label(info)) for vertex, info in reversed(self._moves)]
 
 
 def _report(t0: float, limits: _Limits, optimum: int, witness: Strategy,
@@ -426,7 +397,7 @@ def _branch_solve(g: SignedGraph, mode: str, budget: Budget,
                      bound=_StepBound(g) if count_steps else None)
     try:
         value = search.optimum()
-        witness = Strategy(mode, search.witness(value))
+        witness = Strategy(mode, search.witness())
     except BudgetExceeded:
         return _fallback(g, mode, t0, limits, count_steps)
     return _report(t0, limits, value, witness, True)
@@ -474,7 +445,7 @@ def relaxed_via_class(g: SignedGraph, budget: Budget | None = None) -> SolveRepo
             search = _Search(StepContext(switch(g, members)), False, limits)
             value = search.optimum()
             if best is None or value < best:
-                placements = search.witness(value)
+                placements = search.witness()
                 best = value
                 best_witness = Strategy(
                     MODE_RID,

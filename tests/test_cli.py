@@ -15,11 +15,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signedspread import cli
 from signedspread.engine import label_to_str
-from signedspread.families import FamilySpec
-from signedspread.graph import graph_to_json
+from signedspread.families import FamilySpec, gen_random_connected
+from signedspread.graph import JSON_MAX_N, graph_to_json
 from signedspread.solver import exact_relaxed_confusion
 from signedspread.strategies import POLICIES
 
@@ -199,13 +200,15 @@ def test_oversized_generate_exit_1(size):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--budget-nodes", "-3"], ["--budget-secs", "-1"], ["--budget-secs", "nan"]]
+    "flags", [["--budget-nodes", "-3"], ["--budget-secs", "-1"], ["--budget-secs", "nan"],
+              ["--max-n", "-5"]]
 )
 def test_malformed_budget_exit_1(flags):
     graph = run_cli("generate", "path", "4").stdout
     proc = run_cli("solve", "--exact", *flags, stdin=graph)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error:")
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "capped" not in proc.stderr  # refused as a budget, not as a size
 
 
 def test_balance_frustration_switch_equivalent(tmp_path):
@@ -458,3 +461,80 @@ def test_stdin_not_utf8_exit_1(monkeypatch, capsys):
     assert got["stderr"].startswith("error: cannot read stdin: ")
     assert got["stderr"].count("\n") == 1 and got["stderr"].endswith("\n")
     assert "Traceback" not in got["stderr"]
+
+
+# every graph-reading command the fuzz runs, solve in each mode and policy
+_FUZZ_ARGV = [
+    *(["solve", *flags] for flags in (
+        ["--exact"], ["--exact", "--relaxed"], ["--exact", "--min-steps"],
+        ["--exact", "--min-steps", "--relaxed"], ["--via-class"],
+        *(["--greedy", name] for name in sorted(POLICIES)))),
+    ["simulate", "--place", "0:A"],
+    ["balance"],
+    ["frustration"],
+    ["switch", "--at", "0", "--negate"],
+]
+# values that are not what the field holds: wrong ints, other JSON types
+_BAD_VALUES = st.one_of(st.integers(-3, 12), st.sampled_from(
+    [JSON_MAX_N + 1, 2**70, 1.0, 2.5, "1", "", True, False, None, [], [1], {}, {"u": 0}]))
+
+
+@st.composite
+def mutated_graph_text(draw):
+    """The JSON text of a small random graph with one mutation applied."""
+    doc = graph_to_json(gen_random_connected(draw(st.integers(0, 999)), draw(st.integers(1, 6))))
+    edges = doc["edges"]
+    kind = draw(st.sampled_from(
+        ["n", "edge_field", "edge_key", "edge_entry", "edge_copy", "edges", "top_key",
+         "top_level", "truncate"]))
+    if kind == "n":
+        doc["n"] = draw(_BAD_VALUES)
+    elif kind == "edges":
+        doc["edges"] = draw(_BAD_VALUES)
+    elif kind == "top_key":
+        del doc[draw(st.sampled_from(["n", "edges"]))]
+    elif kind == "top_level":
+        doc = draw(st.sampled_from([[], [doc], 3, "graph", None, True]))
+    elif kind == "edge_copy" and edges:  # a duplicate, reversed or as a self-loop
+        edge = dict(draw(st.sampled_from(edges)))
+        edge["u"], edge["v"] = draw(st.sampled_from(
+            [(edge["u"], edge["v"]), (edge["v"], edge["u"]), (edge["u"], edge["u"])]))
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    elif edges and kind in ("edge_field", "edge_key", "edge_entry"):
+        i = draw(st.integers(0, len(edges) - 1))
+        field = draw(st.sampled_from(["u", "v", "sign"]))
+        if kind == "edge_field":
+            edges[i][field] = draw(st.one_of(_BAD_VALUES, st.sampled_from([0, 2, -2])))
+        elif kind == "edge_key":
+            del edges[i][field]
+        else:
+            edges[i] = draw(_BAD_VALUES)
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def main_in_process(argv, text):
+    """cli.main(argv) with text on stdin: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(text))
+        patch.setattr(sys, "stdout", out)
+        patch.setattr(sys, "stderr", err)
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_graph_text())
+def test_mutated_graph_json_never_escapes_main(text):
+    for argv in _FUZZ_ARGV:
+        code, out, err = main_in_process(argv, text)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert err == "" and out.endswith("\n") and json.loads(out)["schema"] == 1, argv
+        elif code == 1:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        else:
+            assert out == "" and err.startswith("usage error:"), (argv, err)

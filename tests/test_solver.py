@@ -27,7 +27,7 @@ from signedspread.solver import (
 )
 from signedspread.strategies import rescue_priority
 
-from plain_search import PlainSteps, pack, plain_min_steps
+from plain_search import PlainSteps, pack, plain_min_steps, plain_solve
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,7 +100,7 @@ def test_time_budget_zero_degrades():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"nodes": -3}, {"seconds": -1.0}, {"seconds": float("nan")}]
+    "kwargs", [{"nodes": -3}, {"seconds": -1.0}, {"seconds": float("nan")}, {"max_n": -5}]
 )
 def test_budget_rejects_malformed_limits(kwargs):
     with pytest.raises(InputError):
@@ -109,6 +109,7 @@ def test_budget_rejects_malformed_limits(kwargs):
 
 def test_zero_budget_stays_legal():
     assert Budget(nodes=0).nodes == 0 and Budget(seconds=0.0).seconds == 0.0
+    assert Budget(max_n=0).max_n == 0
 
 
 def test_max_n_cap_and_override():
@@ -241,6 +242,38 @@ def test_min_steps_matches_plain_search_on_random_graphs(seed, n, mode):
     report = min_steps(g, mode)
     assert report.optimal
     assert (report.steps, witness_moves(report)) == plain_min_steps(g, mode)
+
+
+def counted_solve(solve, g):
+    """The report of solve(g) and how many times it called StepContext.expand."""
+    expand, calls = StepContext.expand, []
+
+    def counting(self, *args):
+        calls.append(None)
+        return expand(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StepContext, "expand", counting)
+        report = solve(g)
+    return report, len(calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 9), st.floats(0.2, 0.8), st.floats(0.0, 1.0))
+def test_solvers_match_plain_search_in_one_pass(seed, n, edge_prob, neg_prob):
+    g = gen_random_connected(seed, n, edge_prob, neg_prob)
+    for solve, plain in (
+        (exact_confusion, lambda: plain_solve(g, MODE_ID)),
+        (exact_relaxed_confusion, lambda: plain_solve(g, MODE_RID)),
+        (lambda g: min_steps(g, MODE_ID), lambda: plain_min_steps(g, MODE_ID)),
+        (lambda g: min_steps(g, MODE_RID), lambda: plain_min_steps(g, MODE_RID)),
+    ):
+        report, expands = counted_solve(solve, g)
+        assert report.optimal
+        assert (report.optimum, witness_moves(report)) == plain()
+        # each node expands once, the root once over all rounds, and
+        # nothing expands after the search: no second pass for the witness
+        assert expands <= report.nodes
 
 
 def test_min_steps_long_path_and_cycle_past_the_cap():
