@@ -386,8 +386,11 @@ def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     minimizing switching; ties pick the lexicographically smallest edge
     set. Equals the minimum number of edge deletions that balance g.
     Raises CapacityError past max_n, and always past
-    FRUSTRATION_SCAN_MAX_N, before the scan allocates its table.
+    FRUSTRATION_SCAN_MAX_N, before the scan allocates its table, and
+    InputError for a negative max_n.
     """
+    if max_n < 0:
+        raise InputError(f"size cap must be nonnegative, got {max_n}")
     cap = min(max_n, FRUSTRATION_SCAN_MAX_N)
     if g.n > cap:
         raise CapacityError(f"frustration_index capped at n <= {cap}, got {g.n}")

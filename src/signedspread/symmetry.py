@@ -22,15 +22,27 @@ The group is found by individualization-refinement (McKay & Piperno,
   stabilizer (a transversal), and the group is the product of the
   transversals.
 
-Every element is certified edge by edge before it is returned. The
-enumeration stops at _MAX_IMAGES // n elements and the search at
+Every element is certified edge by edge before it is returned: each
+candidate leaf, and then every element of the composed group. The
+certificate reads a signed adjacency table of n^2 int8 entries, the sign
+of edge u-v at u * n + v and at v * n + u and 0 off the edges, built once
+per detection; an element passes when the table holds each edge's own
+sign at the image of its ends, one gather and one compare per image
+edge. The table's n^2 bytes are paid only once a search has spent 2n
+nodes, and that search already holds up to n^2/8 bytes of neighbour
+masks.
+
+The enumeration stops at _MAX_IMAGES // n elements and the search at
 _MAX_REFINES refinement rounds or at the caller's deadline, which is
 asked before each candidate leaf. Any stop only loses elements: any set
 of automorphisms keys a memo soundly, a smaller one merges fewer states.
-A round costs O(n + m) numpy work, measured at 66 us on gst(14,3)
-(m = 126) and 355 us on gn(200) (m = 10,000, 10,297 rounds, 3.7 s) on a
-2-core Xeon VM, so a run to the round cap on a dense graph of 200
-vertices takes seconds; only the deadline bounds it tighter.
+A round costs O(n + m) numpy work, and refinement stops without a round
+once the partition is discrete, since a discrete partition is already
+equitable (52 rounds instead of 57 for gst(12,3)). A round measured
+11-14 us on gst(14,3) (m = 126) and 100-120 us on gn(200) (m = 10,000,
+10,196 rounds, 1.5 s) on a 2-core Xeon VM, so a run to the round cap on
+a dense graph of 200 vertices takes seconds; only the deadline bounds it
+tighter.
 """
 
 from __future__ import annotations
@@ -66,13 +78,18 @@ class _Refiner:
         self.n = g.n
         self.src = np.concatenate((e[:, 0], e[:, 1]))
         self.dst = np.concatenate((e[:, 1], e[:, 0]))
-        self.neg = (np.concatenate((e[:, 2], e[:, 2])) < 0).astype(np.int64)
+        # the word of neighbour w in cell j is _words[side + j], side = n on a
+        # negative edge and 0 on a positive one
+        self._side = np.where(np.concatenate((e[:, 2], e[:, 2])) < 0, g.n, 0)
         self._words = np.random.default_rng(0).integers(
             0, np.iinfo(np.uint64).max, size=(2, g.n), dtype=np.uint64, endpoint=True
-        )
-        self._eu, self._ev, self._es = e[:, 0], e[:, 1], e[:, 2]
-        # g.edges is sorted with u < v, so the edge codes u * n + v are too
-        self._codes = e[:, 0] * g.n + e[:, 1]
+        ).ravel()
+        self._eu, self._ev = e[:, 0], e[:, 1]
+        self._es = e[:, 2].astype(np.int8)
+        # the sign of edge u-v at u * n + v and at v * n + u, 0 off the edges
+        self._signs = np.zeros(g.n * g.n, dtype=np.int8)
+        self._signs[self._eu * g.n + self._ev] = self._es
+        self._signs[self._ev * g.n + self._eu] = self._es
         self.rounds = 0
 
     def spent(self) -> bool:
@@ -83,17 +100,20 @@ class _Refiner:
         """The coarsest equitable partition that refines col (up to hash
         collisions)."""
         k = int(col.max()) + 1
-        while True:
+        while k < self.n:  # a discrete partition is already equitable
             self.rounds += 1
             h = np.zeros(self.n, dtype=np.uint64)
-            np.add.at(h, self.src, self._words[self.neg, col[self.dst]])
+            np.add.at(h, self.src, self._words[self._side + col[self.dst]])
             order = np.lexsort((h, col))
             c, hs = col[order], h[order]
             new = np.empty(self.n, dtype=np.int64)
-            new[order] = np.cumsum(np.concatenate(([0], (c[1:] != c[:-1]) | (hs[1:] != hs[:-1]))))
-            if int(new.max()) + 1 == k:
-                return col
-            col, k = new, int(new.max()) + 1
+            new[order[0]] = 0  # a new part starts wherever (col, h) changes
+            new[order[1:]] = parts = ((c[1:] != c[:-1]) | (hs[1:] != hs[:-1])).cumsum()
+            cells = int(parts[-1]) + 1
+            if cells == k:
+                break
+            col, k = new, cells
+        return col
 
     def individualize(self, col: np.ndarray, v: int) -> np.ndarray:
         """Refine col after splitting v off its cell, into a cell just
@@ -104,15 +124,13 @@ class _Refiner:
 
     def preserves(self, perms: np.ndarray) -> np.ndarray:
         """Per row P: does v -> P[v] map every edge onto one of the same sign?"""
-        rows = max(1, _MAX_IMAGES // len(self._codes))  # rows per chunk
+        rows = max(1, _MAX_IMAGES // len(self._es))  # rows per chunk
         return np.concatenate([self._preserves(perms[i:i + rows])
                                for i in range(0, len(perms), rows)])
 
     def _preserves(self, perms: np.ndarray) -> np.ndarray:
-        a, b = perms[:, self._eu], perms[:, self._ev]
-        codes = np.minimum(a, b) * self.n + np.maximum(a, b)
-        at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
-        return ((self._codes[at] == codes) & (self._es[at] == self._es)).all(axis=1)
+        images = perms[:, self._eu] * self.n + perms[:, self._ev]
+        return (self._signs[images] == self._es).all(axis=1)
 
 
 def _target(col: np.ndarray) -> int:

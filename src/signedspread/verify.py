@@ -688,7 +688,9 @@ def explore_conjecture(
     which = "conj1": confusion <= ceil(3n/5 - 4).
     which = "conj2": relaxed confusion <= min(frustration, ceil(3n/5 - 4)).
     Violations carry the graph and solve report verbatim so they can be
-    re-run standalone.
+    re-run standalone. conj2 computes the frustration index only when the
+    relaxed optimum is positive or above the ceiling: an optimum of 0
+    meets min(frustration, ceiling) whenever the ceiling is nonnegative.
     """
     if which not in ("conj1", "conj2"):
         raise InputError("which must be 'conj1' or 'conj2'")
@@ -697,15 +699,18 @@ def explore_conjecture(
         graphs = family_instances(max_n) + random_instances(random_count, random_max_n, seed)
     report = ExploreReport(which=which)
     for label, g in graphs:
+        ell = None
+        bound = conjecture_ceiling(g.n)
         try:
             if which == "conj1":
                 rep = exact_confusion(g, budget)
-                ell = None
-                bound = conjecture_ceiling(g.n)
             else:
                 rep = exact_relaxed_confusion(g, budget)
-                ell, _ = frustration_index(g, max_n=max(FRUSTRATION_MAX_N, g.n))
-                bound = min(ell, conjecture_ceiling(g.n))
+                # an optimum of 0 is at most min(ell, bound) for every ell
+                # once bound >= 0: ell cannot decide a violation there
+                if rep.optimum > 0 or rep.optimum > bound:
+                    ell, _ = frustration_index(g, max_n=max(FRUSTRATION_MAX_N, g.n))
+                    bound = min(ell, bound)
             if not rep.optimal:
                 report.skipped.append(f"{label}: budget exhausted")
                 continue

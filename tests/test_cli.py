@@ -153,6 +153,13 @@ def test_frustration_scan_ceiling_exit_1():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_frustration_negative_max_n_exit_1():
+    graph = run_cli("generate", "path", "3").stdout
+    proc = run_cli("frustration", "--max-n", "-5", stdin=graph)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: size cap must be nonnegative, got -5\n"
+
+
 def test_backend_env_var_changes_nothing(monkeypatch):
     # no kernel is selectable: the variable is not read, whatever its value
     graph = run_cli("generate", "ktt", "3").stdout

@@ -500,6 +500,11 @@ def test_frustration_cap():
         frustration_index(gen_random_connected(2, 9), max_n=8)
 
 
+def test_frustration_refuses_a_negative_cap():
+    with pytest.raises(InputError, match="^size cap must be nonnegative, got -5$"):
+        frustration_index(gen_path(3), max_n=-5)
+
+
 @pytest.mark.parametrize("n", [FRUSTRATION_SCAN_MAX_N + 1, 40, 64])
 def test_frustration_scan_ceiling_ignores_max_n(n):
     # the scan table has 2^(n-1) entries; the refusal comes before it exists

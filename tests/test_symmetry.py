@@ -27,7 +27,7 @@ from signedspread.solver import (
     exact_relaxed_confusion,
     relaxed_via_class,
 )
-from signedspread.symmetry import _MAX_IMAGES, automorphisms
+from signedspread.symmetry import _MAX_IMAGES, _Refiner, automorphisms
 
 from plain_search import PlainSearch, PlainSteps, plain_min_steps, plain_solve, unpack
 
@@ -144,6 +144,70 @@ def test_trivial_and_tiny_groups():
     # the edge sign is an edge colour: a path with different end signs
     assert automorphisms(gen_path(3, [1, -1])) is None
     assert len(automorphisms(gen_path(3, [-1, -1]))) == 2
+
+
+def brute_group(g):
+    """Every vertex permutation that maps each edge onto one of the same sign."""
+    return {p for p in itertools.permutations(range(g.n)) if preserves_every_edge(g, p)}
+
+
+def found_group(g):
+    group = automorphisms(g)
+    return {tuple(range(g.n))} if group is None else {tuple(p) for p in group.tolist()}
+
+
+@pytest.mark.parametrize("g", [gen_gn(6), gen_ktt_tau(3), gen_cycle(7), gen_path(7)])
+def test_small_groups_equal_brute_force(g):
+    assert found_group(g) == brute_group(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 7))
+def test_random_small_groups_equal_brute_force(seed, n):
+    g = relabeled(gen_random_connected(seed, n), seed)
+    assert found_group(g) == brute_group(g)
+
+
+@pytest.mark.parametrize("g", [g for g, _ in GROUPS])
+def test_refiner_certificate_matches_edge_check(g):
+    g = relabeled(g, 6)
+    rng = np.random.default_rng(g.n)
+    group = automorphisms(g)
+    swapped = group[rng.integers(len(group), size=10)]
+    swapped[:, [0, 1]] = swapped[:, [1, 0]]  # one transposition off a group element
+    perms = np.concatenate((group[:10], swapped, [rng.permutation(g.n) for _ in range(20)]))
+    got = _Refiner(g, lambda: False).preserves(perms)
+    assert got.tolist() == [preserves_every_edge(g, p) for p in perms]
+    assert got.any() and not got.all()
+
+
+def test_refiner_certificate_reads_signs_and_spans_chunks():
+    # the reflection of a path with different end signs maps every edge
+    # onto an edge, but the positive one onto the negative one
+    g = gen_path(3, [1, -1])
+    assert _Refiner(g, lambda: False).preserves(np.array([[2, 1, 0], [0, 1, 2]])).tolist() == [
+        False, True]
+    # gn(12): 1,440 elements and 600 random permutations, past one chunk of rows
+    g = relabeled(gen_gn(12), 8)
+    rng = np.random.default_rng(8)
+    perms = np.concatenate((automorphisms(g), [rng.permutation(g.n) for _ in range(600)]))
+    assert len(perms) > _MAX_IMAGES // g.m
+    got = _Refiner(g, lambda: False).preserves(perms)
+    assert got.tolist() == [preserves_every_edge(g, p) for p in perms]
+
+
+@pytest.mark.parametrize("g", [g for g, _ in GROUPS] + [doubled(4, 5)])
+def test_refine_is_idempotent_and_stops_at_discrete(g):
+    g = relabeled(g, 9)
+    ref = _Refiner(g, lambda: False)
+    unit = ref.refine(np.zeros(g.n, dtype=np.int64))
+    _, random_cells = np.unique(np.random.default_rng(g.n).integers(0, 3, g.n), return_inverse=True)
+    for col in (np.zeros(g.n, dtype=np.int64), ref.individualize(unit, g.n - 1), random_cells):
+        once = ref.refine(col)
+        assert np.array_equal(ref.refine(once), once)
+    discrete = np.random.default_rng(0).permutation(g.n)
+    rounds = ref.rounds
+    assert ref.refine(discrete) is discrete and ref.rounds == rounds  # no confirming round
 
 
 def symmetric_graph(kind, seed, size):

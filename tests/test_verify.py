@@ -10,7 +10,7 @@ import pytest
 
 from signedspread.errors import CapacityError, InputError
 from signedspread.families import gen_cycle, gen_path
-from signedspread.graph import SignedGraph, graph_from_json
+from signedspread.graph import SignedGraph, frustration_index, graph_from_json, graph_to_json
 from signedspread.solver import Budget, exact_confusion, exact_relaxed_confusion
 from signedspread import cli, verify
 from signedspread.verify import (
@@ -171,6 +171,27 @@ def test_explorer_conj2_uses_frustration():
     assert payload["violations"][0]["label"] == v.label
     with pytest.raises(InputError):
         explore_conjecture("conj3")
+
+
+def test_explorer_conj2_scans_frustration_only_where_it_can_bind(monkeypatch):
+    graphs = family_instances(8) + random_instances(60, 8, 7)
+    want, binding = [], 0
+    for label, g in graphs:  # the eager reference: every instance scanned
+        rep = exact_relaxed_confusion(g)
+        ell, _ = frustration_index(g)
+        ceiling = conjecture_ceiling(g.n)
+        binding += rep.optimum > 0 or rep.optimum > ceiling
+        if rep.optimum > min(ell, ceiling):
+            want.append([label, g.n, rep.optimum, min(ell, ceiling), ell, graph_to_json(g),
+                         {**rep.to_json(), "millis": None}])
+    scanned = []
+    monkeypatch.setattr(verify, "frustration_index",
+                        lambda g, **kw: scanned.append(g) or frustration_index(g, **kw))
+    rep = explore_conjecture("conj2", graphs)
+    assert rep.checked == len(graphs) and not rep.skipped
+    assert len(scanned) == binding < len(graphs)
+    assert want and [[v.label, v.n, v.observed, v.bound, v.frustration, v.graph,
+                      {**v.report, "millis": None}] for v in rep.violations] == want
 
 
 def test_family_instances_bounded_and_distinct():
