@@ -1,43 +1,39 @@
-"""The switching scan behind the frustration index, in two forms.
+"""The switching scan behind the frustration index.
 
-frustration_scan_numpy builds the negative-edge count of all 2^(n-1)
-switchings in one numpy table by doubling, one vertex at a time after a
-directly counted base table, in O(2^(n-1)) memory (a few bytes per
-switching) and O(2^(n-1)) time times one plus the average back-degree,
-and returns the minimum with every mask attaining it;
-graph.frustration_index refuses n > FRUSTRATION_SCAN_MAX_N (28) before
-the table exists.
+frustration_scan counts the negative edges of all 2^(n-1) switchings as
+bit planes of Python ints (bit slicing, Biham 1997), in a few ints of at
+most 2^_BLOCK_BITS bits at any n. Per call before (the numpy doubling
+table, now tests/frustration_table.py, where m * 2^(n-1) > 2^20; direct
+bit planes on rows marked *) and now: the best call in 6 processes per
+side over two rounds of 5 calls (also 6 of 20 calls at n = 12 and 14, 4
+of 3 at n >= 26), and their largest peak RSS, 35.5 MB once signedspread
+is imported. Random graphs draw m pairs and signs from
+random.Random(1000 n + m); "triangle" is an all-negative triangle and 17
+isolated vertices (393,216 tied masks). 2-core Xeon VM, Python 3.11,
+numpy 2.4.
 
-frustration_scan_planes counts the same switchings as bit planes of
-Python ints, a few int operations per edge and no numpy call, so it
-skips numpy's fixed cost per call, which is most of a small graph's
-scan. Its work grows as m * 2^(n-1) where the table's grows as
-2^(n-1) * (1 + average back-degree), so graph.frustration_index takes
-the planes while m * 2^(n-1) <= PLANE_SCAN_MAX_BITS (2^20), and the
-table above. The numpy table stays the tests' reference. Per call,
-median of 3 random graphs, each timed best of 5 (2-core Xeon VM,
-Python 3.11, numpy 2.4):
-
-    n, m          m * 2^(n-1)   numpy    planes
-    12, 20        2^15.3        186 us   26 us
-    14, 91        2^19.5        528 us   278 us
-    15, 64        2^20          486 us   371 us
-    20, 2         2^20          2.0 ms   0.14 ms
-    16, 64        2^21          603 us   491 us
-    18, 16        2^21          464 us   474 us
-    16, 120       2^21.9        1.0 ms   1.3 ms
-    18, 40        2^22.3        538 us   1127 us
-
-The gate stays below 2^21, where the two cross, with ktt_tau(8)
-(n = 16, m = 64, exactly 2^21) on the numpy side.
+    n, m                  before               now
+    12, 20 *              0.024 ms,  35.7 MB   0.022 ms, 35.7 MB
+    14, 91 *              0.22 ms,   35.8 MB   0.19 ms,  35.8 MB
+    16, 64 (ktt(8))       0.39 ms,   36.0 MB   0.20 ms,  35.6 MB
+    16, 120               0.55 ms,   36.0 MB   0.37 ms,  35.7 MB
+    18, 40                0.48 ms,   36.0 MB   0.37 ms,  35.7 MB
+    20, 3                 1.4 ms,    37.5 MB   0.15 ms,  35.7 MB
+    20, 3 (triangle)      8.9 ms,    46.7 MB   1.8 ms,   35.6 MB
+    20, 60                1.5 ms,    37.1 MB   0.83 ms,  35.6 MB
+    20, 100 (ktt(10))     4.1 ms,    37.2 MB   1.0 ms,   35.6 MB
+    20, 190               4.6 ms,    37.1 MB   1.7 ms,   35.8 MB
+    22, 80                7.3 ms,    41.2 MB   4.3 ms,   35.6 MB
+    24, 100               33 ms,     57.1 MB   17 ms,    35.7 MB
+    26, 120               88 ms,    121.0 MB   80 ms,    35.8 MB
+    28, 150               603 ms,   356.2 MB   373 ms,   35.6 MB
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.util
-
-import numpy as np
+from itertools import zip_longest
 
 # perfbench/run.py stamps these into each run's environment record; they
 # select nothing. ROADMAP item 1 deletes them with that stamp.
@@ -49,126 +45,202 @@ def resolve_backend() -> str:
     return "numpy"
 
 
-# the switching scan counts the table of this many low mask bits directly:
-# below it, numpy's fixed cost per call outweighs the doubling's savings
-_BASE_BITS = 8
+# mask bits counted directly, one ripple-carry add per edge; the masks
+# of a chunk of the witness pick
+_DIRECT_BITS = 12
+# mask bits of a block; the switchings of the vertices above are enumerated
+_BLOCK_BITS = 17
 
 
-def frustration_scan_numpy(lo, hi, eneg, n_masks):
-    """Minimum negative-edge count over all switchings, and its masks.
-
-    Masks encode switch sets over vertices 1..n-1: bit b is vertex b + 1,
-    and vertex 0 is pinned outside (shift 63). Per edge u < v, lo is the
-    shift of u and hi, always below 63, the shift of v, as
-    graph._edge_shift_arrays gives them. Returns (best, every mask
-    attaining it in increasing order as an int64 array).
-
-    The count of every mask is built in one table by doubling. Each edge
-    is charged once, at its later bit (an edge to vertex 0 at its other
-    end). The table of the low _BASE_BITS bits is counted directly, in
-    one broadcast over masks and the edges charged there. Each further
-    bit b doubles it: with bits 0..b-1 placed, c0[mask] counts the
-    negative edges among b's back edges when b is not switched, and
-    switching b flips each of its d back edges, so the table for bits
-    0..b is [counts + c0, counts + d - c0]. That costs
-    O(2^(n-1) * (1 + average back-degree)) time and a few bytes per mask,
-    in the narrowest unsigned dtype that holds m.
-    """
-    dtype = np.min_scalar_type(len(lo))
-    n_bits = n_masks.bit_length() - 1
-    low_bits = min(n_bits, _BASE_BITS)
-    base = hi < low_bits
-    # a mask shifted by 63 is 0: vertex 0 is never switched
-    masks = np.arange(1 << low_bits)[:, None]
-    flip = ((masks >> lo[base]) ^ (masks >> hi[base])) & 1
-    counts = (flip ^ eneg[base]).sum(axis=1, dtype=dtype)
-    back = [[] for _ in range(n_bits)]
-    for a, b, e in zip(lo[~base].tolist(), hi[~base].tolist(), eneg[~base].tolist()):
-        back[b].append((a, e))
-    for b in range(low_bits, n_bits):
-        half = 1 << b
-        c0 = np.zeros(half, dtype=dtype)
-        # with b unswitched, an edge to vertex 0 is negative iff its sign
-        # is, and an edge to bit a iff bit a of the mask is 1 - e
-        for a, e in back[b]:
-            if a == 63:
-                c0 += e
-            else:
-                c0.reshape(-1, 2, 1 << a)[:, 1 - e, :] += 1
-        out = np.empty(2 * half, dtype=dtype)
-        np.add(counts, c0, out=out[:half])
-        np.subtract(len(back[b]), c0, out=out[half:])
-        out[half:] += counts
-        counts = out
-    best = int(counts.min())
-    return best, np.flatnonzero(counts == best)
+def _widen(pats, bits, n_bits):
+    """Vertex patterns over 2^bits masks widened to 2^n_bits: each one
+    repeated, and each further vertex switching the upper half."""
+    width = 1 << bits
+    for _ in range(bits, n_bits):
+        pats = [p | p << width for p in pats] + [((1 << width) - 1) << width]
+        width <<= 1
+    return pats
 
 
-# graph.frustration_index runs frustration_scan_planes while m * 2^(n-1),
-# the bits of all its edge rows together, is at most this, and the numpy
-# table above it (crossover table in the module docstring)
-PLANE_SCAN_MAX_BITS = 1 << 20
-# bit x of _PERIODS[j] * k is bit j of x, for j < 3 and x < 8k
-_PERIODS = (b"\xaa", b"\xcc", b"\xf0")
-
-
-@functools.cache  # one entry per mask width, filled on first use
+@functools.cache  # one entry per width up to _DIRECT_BITS, filled on first use
 def _vertex_patterns(n_bits):
     """Per vertex w, the int whose bit x is 1 when mask x switches w (bit
-    w - 1 of x), over the 2^n_bits masks; 0 for vertex 0, which no mask
-    switches. A plane scan admitted by PLANE_SCAN_MAX_BITS has m >= 1, so
-    n_bits <= 20 and the cache holds at most 21 entries of n_bits * 2^n_bits
-    bits."""
-    width = 1 << n_bits
+    w - 1 of x), over the 2^n_bits masks; 0 for vertex 0."""
+    return tuple(_widen([0], 0, n_bits))
+
+
+def _add_row(planes, row):
+    """Add the 0/1 count row into planes in place, by ripple carry."""
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ row
+        row &= plane
+        if not row:
+            return
+    if row:
+        planes.append(row)
+
+
+def _add(planes, other):
+    """planes + other, both counts as bit planes, lowest plane first."""
+    out, carry = [], 0
+    for a, b in zip_longest(planes, other, fillvalue=0):
+        half = a ^ b
+        out.append(half ^ carry)
+        carry = a & b | carry & half
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _count(n_bits, edges, pats):
+    """(planes, rows): the negative-edge counts of the 2^n_bits masks as
+    bit planes (plane i holds bit i of every count), and the rows of the
+    edges counted directly. Edges with v > n_bits are left out; pats are
+    vertex patterns at least as wide as any back edge's row."""
+    low = min(n_bits, _DIRECT_BITS)
+    direct = _vertex_patterns(low)
+    width = 1 << low
     full = (1 << width) - 1
-    out = [0]
-    for j in range(n_bits):
-        # runs of 2^j zeros, then 2^j ones; bytes from j = 3 on
-        period = _PERIODS[j] if j < 3 else bytes(1 << (j - 3)) + b"\xff" * (1 << (j - 3))
-        reps = max(1, width // (8 * len(period)))
-        out.append(int.from_bytes(period * reps, "little") & full)
-    return tuple(out)
-
-
-def frustration_scan_planes(n, edges):
-    """frustration_scan_numpy's minimum and tied masks, as bit planes of
-    Python ints, for small inputs.
-
-    edges are (u, v, sign) triples on vertices 0..n-1; masks are
-    frustration_scan_numpy's (bit b is vertex b + 1, vertex 0 pinned). An
-    edge's row is the int whose bit x is 1 when the edge is negative after
-    switching mask x: its ends' vertex patterns XORed, complemented when
-    its sign is negative. The counts of all masks are kept as bit planes,
-    plane i holding bit i of every count, and each row is added into them
-    by ripple carry, so every mask is counted at once in a few int
-    operations per edge (bit slicing, Biham 1997). A pass from the top
-    plane down then keeps, plane by plane, the masks whose count bit is 0
-    whenever any of those left has it. Returns (best, tied, rows): the
-    minimum, the int whose bit x is set when mask x attains it, and each
-    edge's row in the order given.
-    """
-    patterns = _vertex_patterns(n - 1)
-    full = (1 << (1 << (n - 1))) - 1
-    planes = []
-    rows = []
-    for u, v, sign in edges:
-        carry = patterns[u] ^ patterns[v]
-        if sign < 0:
+    planes, rows = [], []
+    back = [[] for _ in range(low, n_bits)] if n_bits > low else ()
+    for u, v, s in edges:
+        if v > low:
+            if v <= n_bits:
+                back[v - low - 1].append((u, s))
+            continue
+        carry = direct[u] ^ direct[v]
+        if s < 0:
             carry ^= full
         rows.append(carry)
+        # _add_row, inlined: a call per edge is a fifth of a small graph's scan
         for i, plane in enumerate(planes):
             planes[i] = plane ^ carry
             carry &= plane
             if not carry:
                 break
         else:
-            if carry:
-                planes.append(carry)
-    best, tied = 0, full
+            planes.append(carry)
+    for edges_v in back:
+        # the masks width..2 * width - 1 switch the next vertex
+        planes = [p | p << width for p in planes]
+        if edges_v:
+            # its back edges, negative with it unswitched; switched, each flips
+            kept, flipped = [], []
+            for u, s in edges_v:
+                row = pats[u] & full if s > 0 else pats[u] & full ^ full
+                _add_row(kept, row)
+                _add_row(flipped, row ^ full)
+            planes = _add(planes, [k | f << width for k, f in zip_longest(kept, flipped, fillvalue=0)])
+        width <<= 1
+        full = (1 << width) - 1
+    return planes, rows
+
+
+def _minimum(planes, tied):
+    """(best, tied): the least count in planes among the masks in tied, and those with it."""
+    best = 0
     for i in range(len(planes) - 1, -1, -1):
-        low = tied & ~planes[i]
-        if low:
-            tied = low
+        rest = tied ^ tied & planes[i]  # no negative ints: those cost a copy
+        if rest:
+            tied = rest
         else:
             best |= 1 << i
-    return best, tied, rows
+    return best, tied
+
+
+def _smallest_tied_mask(rows, tied) -> int:
+    """The tied mask (a bit of tied) with the largest negative-edge
+    indicator, so the smallest sorted negative edge list: edge by edge,
+    keep the masks whose row (bit x set when the edge is negative under
+    mask x) has the edge negative whenever any does."""
+    for row in rows:
+        if not tied & (tied - 1):
+            break
+        negative = tied & row
+        if negative:
+            tied = negative
+    return (tied & -tied).bit_length() - 1
+
+
+def _indicator(edges, mask) -> int:
+    """The negative edges after switching mask, as an int whose most
+    significant of m bits is the first edge."""
+    side = mask << 1  # bit w is vertex w; vertex 0 is never switched
+    out = 0
+    for u, v, sign in edges:
+        out = out << 1 | ((sign < 0) ^ (side >> u & 1) ^ (side >> v & 1))
+    return out
+
+
+def frustration_scan(n, edges):
+    """(best, mask): the fewest negative edges over all switchings of
+    the signed graph with sorted edges (u, v, sign) on n >= 2 vertices,
+    and the switching with the smallest sorted negative edge list among
+    those (the smallest mask on a tie). Bit w - 1 of a mask switches
+    vertex w; none switches vertex 0.
+
+    Past _DIRECT_BITS bits, masks are counted in blocks of the low
+    _BLOCK_BITS bits and picked from in chunks of the low _DIRECT_BITS,
+    where an edge from u below to t above is an edge 0-u whose sign
+    flips when t is switched. Of the chunks' winners at the minimum, the
+    one with the largest negative-edge indicator wins, the first on a tie.
+    """
+    n_bits = n - 1
+    if n_bits <= _DIRECT_BITS:  # one block, one chunk
+        planes, rows = _count(n_bits, edges, ())
+        best, tied = _minimum(planes, (1 << (1 << n_bits)) - 1)
+        return best, _smallest_tied_mask(rows, tied) if best else (tied & -tied).bit_length() - 1
+    low = min(n_bits, _BLOCK_BITS)
+    # back rows span at most half a block; rows of edges to vertices above, all
+    pats = _widen(_vertex_patterns(_DIRECT_BITS), _DIRECT_BITS, low if n_bits > low else low - 1)
+    planes, rows = _count(low, edges, pats)
+    # in a block an edge between vertices above low, or from vertex 0 to
+    # one, is a constant; those from u below count a or b as u is switched
+    fixed = [e for e in edges if e[1] > low and not 0 < e[0] <= low]
+    links = {}
+    for u, v, s in edges:
+        if v > low and 0 < u <= low:
+            links.setdefault(u, []).append((v, s))
+    wide = (1 << (1 << low)) - 1
+    bits = _DIRECT_BITS
+    full = (1 << (1 << bits)) - 1
+    best = pick = None
+    for block in range(1 << (n_bits - low)):
+        side = block << low + 1  # bit w is vertex w, for w > low
+        kept, const = [], 0
+        for u, v, s in fixed:
+            const += (s < 0) ^ (side >> u & 1) ^ (side >> v & 1)
+        for u, ends in links.items():
+            a = sum((s < 0) ^ (side >> v & 1) for v, s in ends)
+            b = len(ends) - a
+            const += min(a, b)  # and the rest on the side that has more
+            for _ in range(abs(a - b)):
+                _add_row(kept, pats[u] ^ wide if a > b else pats[u])
+        count, tied = _minimum(_add(planes, kept) if kept else planes, wide)
+        count += const
+        if best is not None and count > best:
+            continue
+        if count == 0:  # no tied mask has a negative edge: take the smallest
+            return 0, (tied & -tied).bit_length() - 1 | block << low
+        chunk = block << (low - bits)  # the chunk of tied's bit 0
+        while tied:
+            skip = (tied & -tied).bit_length() - 1 >> bits
+            part = tied >> (skip << bits) & full
+            tied >>= skip + 1 << bits
+            chunk += skip
+            side = chunk << bits + 1  # bit w is vertex w, for w > bits
+            if part & (part - 1):
+                # the chunk's rows in order: the count's for edges below
+                # bits, built here for those to a vertex above
+                direct_rows = iter(rows)
+                part = 1 << _smallest_tied_mask(
+                    (next(direct_rows) if v <= bits
+                     else pats[u] & full ^ (full if (s < 0) ^ (side >> v & 1) else 0)
+                     for u, v, s in edges if u <= bits), part)
+            mask = part.bit_length() - 1 | chunk << bits
+            if best is None or count < best:
+                best, pick = count, mask
+            elif _indicator(edges, mask) > _indicator(edges, pick):
+                pick = mask
+            chunk += 1
+    return best, pick

@@ -120,13 +120,6 @@ class StepContext:
     sets a, b and c of A, -A and C vertices, with the neighbour masks of
     _neighbour_masks (up to n^2/8 bytes), built on its first call. Runs
     step through engine._trace, which needs neither.
-
-    A round leaves no Zero neighbour next to any vertex that sent in it,
-    so only the vertices it informed (its frontier) and the next placed
-    vertex can reach anyone in the next round. step returns read-only
-    int8 views of bytes and remembers the last one with its frontier:
-    stepping that very object reads only the frontier's rows. On any
-    other state every transmitter (A or -A) is a sender.
     """
 
     # perfbench's tracer keys its step byte count on this; it selects
@@ -135,9 +128,6 @@ class StepContext:
 
     def __init__(self, g: SignedGraph):
         self.graph = g
-        # (the state step returned last, its frontier), one tuple so that
-        # it is always read and replaced whole
-        self._last = None
 
     @cached_property
     def _masks(self):
@@ -145,12 +135,6 @@ class StepContext:
 
     def zeros_state(self) -> np.ndarray:
         return np.zeros(self.graph.n, dtype=np.int8)
-
-    def _senders(self, labels: np.ndarray) -> list:
-        last = self._last
-        if last is not None and labels is last[0]:
-            return last[1]
-        return np.flatnonzero((labels == _A) | (labels == _NEG_A)).tolist()
 
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
         """labels after placing info on the Zero vertex `vertex` and one
@@ -164,15 +148,13 @@ class StepContext:
         if info != _A and info != _NEG_A:
             raise InputError(f"placed value must be A or -A, got {info!r}")
         labels = np.asarray(labels, dtype=np.int8)
-        senders = self._senders(labels)
+        senders = np.flatnonzero((labels == _A) | (labels == _NEG_A)).tolist()
         buf = bytearray(labels.tobytes())
         buf[vertex] = info
         heard = _heard(self.graph._adj, buf, senders + [vertex])
         for w, bits in heard.items():
             buf[w] = bits  # the hearing bits are the label codes A, -A, C
-        out = np.frombuffer(bytes(buf), dtype=np.int8)
-        self._last = out, [w for w, bits in heard.items() if bits != _CONFUSED]
-        return out
+        return np.frombuffer(bytes(buf), dtype=np.int8)
 
     def expand(self, state: int, allow_neg: bool):
         """(children, moves, added, done) of every placement on a Zero
@@ -359,13 +341,11 @@ def _check_placement(g: SignedGraph, labels, p: Placement,
     return p if type(v) is int and p.info is info else Placement(int(v), info)
 
 
-def step(g: SignedGraph, state: np.ndarray, placement: Placement,
-         ctx: StepContext | None = None) -> np.ndarray:
+def step(g: SignedGraph, state: np.ndarray, placement: Placement) -> np.ndarray:
     """Place on a Zero vertex and run one synchronous round."""
-    ctx = ctx or StepContext(g)
     labels = _label_array(state, g.n, "state")
     p = _check_placement(g, labels, placement)
-    return ctx.step(labels, p.vertex, int(p.info))
+    return StepContext(g).step(labels, p.vertex, int(p.info))
 
 
 def _trace(g: SignedGraph, mode: str, pick, count: int | None = None) -> Trace:

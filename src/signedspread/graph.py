@@ -14,11 +14,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from operator import add, eq, gt, itemgetter, lt, mul
 from typing import Iterable, Optional
-
-import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, InputError
@@ -28,8 +26,8 @@ CycleSet = frozenset  # of canonical vertex tuples
 
 NEGATIVE_CYCLES_MAX_N = 10
 FRUSTRATION_MAX_N = 20
-# hard ceiling whatever max_n says: the switching scan holds a table of
-# 2^(n-1) counts, 128 Mi entries at n = 28
+# hard ceiling whatever max_n says: the switching scan's time doubles
+# with each vertex, about 0.4 s at n = 28 (the _kernels timing table)
 FRUSTRATION_SCAN_MAX_N = 28
 # largest vertex count graph JSON may declare; the engine allocates O(n)
 # arrays up front, so a huge declared n must fail before any allocation
@@ -338,47 +336,6 @@ def negative_cycles(g: SignedGraph, max_n: int = NEGATIVE_CYCLES_MAX_N) -> Cycle
     return frozenset(out)
 
 
-def _edge_shift_arrays(g: SignedGraph):
-    """(shift_u, shift_v, eneg): per edge, the mask bits of its ends and
-    whether its sign is negative."""
-    u, v, s = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
-                          count=3 * g.m).reshape(-1, 3).T
-    # vertex w is mask bit w - 1, and vertex 0, pinned outside every switch
-    # set, wraps to shift 63, so (mask >> 63) == 0 for all masks used here
-    return (u - 1) & 63, (v - 1) & 63, (s < 0).astype(np.int64)
-
-
-def _smallest_witness_mask(shift_u, shift_v, eneg, masks) -> int:
-    """A tied mask whose negative edges form the lexicographically
-    smallest sorted edge list.
-
-    Tied sets share one size and edges are in sorted order, so that list
-    has the lexicographically largest negative-edge indicator row. Edge
-    by edge, keep the masks that make the edge negative whenever any do.
-    """
-    # masks are int64 below 2^27, so a shift by 63 reads vertex 0 as 0
-    for su, sv, neg in zip(shift_u.tolist(), shift_v.tolist(), eneg.tolist()):
-        if len(masks) == 1:
-            break
-        negative = ((masks >> su) ^ (masks >> sv)) & 1 != neg
-        if negative.any():
-            masks = masks[negative]
-    return int(masks[0])
-
-
-def _smallest_tied_mask(rows, tied) -> int:
-    """_smallest_witness_mask's rule on the plane scan's ints: rows[e] has
-    bit x set when edge e is negative under mask x, and tied a bit per
-    tied mask."""
-    for row in rows:
-        if not tied & (tied - 1):
-            break
-        negative = tied & row
-        if negative:
-            tied = negative
-    return (tied & -tied).bit_length() - 1
-
-
 def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     """Minimum negative-edge count over the switching class, with witness.
 
@@ -386,7 +343,7 @@ def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     minimizing switching; ties pick the lexicographically smallest edge
     set. Equals the minimum number of edge deletions that balance g.
     Raises CapacityError past max_n, and always past
-    FRUSTRATION_SCAN_MAX_N, before the scan allocates its table, and
+    FRUSTRATION_SCAN_MAX_N, before the scan starts, and
     InputError for a negative max_n.
     """
     if max_n < 0:
@@ -396,22 +353,12 @@ def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
         raise CapacityError(f"frustration_index capped at n <= {cap}, got {g.n}")
     if g.m == 0:
         return 0, frozenset()
-    if g.m << (g.n - 1) <= _kernels.PLANE_SCAN_MAX_BITS:
-        best, tied, rows = _kernels.frustration_scan_planes(g.n, g.edges)
-        if best == 0:
-            return 0, frozenset()
-        mask = _smallest_tied_mask(rows, tied)
-        return best, frozenset(e[:2] for e, row in zip(g.edges, rows) if row >> mask & 1)
-    shift_u, shift_v, eneg = _edge_shift_arrays(g)
-    n_masks = 1 << max(0, g.n - 1)
-    best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, n_masks)
+    best, mask = _kernels.frustration_scan(g.n, g.edges)
     if best == 0:
         return 0, frozenset()
-    mask = _smallest_witness_mask(shift_u, shift_v, eneg, masks)
+    side = mask << 1  # bit w is vertex w
     # an edge is negative after the switch when its sign is, unless it is cut
-    return best, frozenset(
-        e[:2] for e, su, sv, neg in zip(g.edges, shift_u.tolist(), shift_v.tolist(), eneg.tolist())
-        if (mask >> su ^ mask >> sv) & 1 != neg)
+    return best, frozenset((u, v) for u, v, s in g.edges if (s < 0) ^ (side >> u ^ side >> v) & 1)
 
 
 def realize_min_signature(g: SignedGraph, e_set: Iterable[tuple]) -> SignedGraph:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from enum import IntEnum
 
 import numpy as np
@@ -19,7 +20,6 @@ from signedspread.graph import (
     JSON_MAX_N,
     SignedGraph,
     _bulk_canonical,
-    _edge_shift_arrays,
     equivalent,
     frustration_index,
     graph_from_json,
@@ -33,6 +33,7 @@ from signedspread.graph import (
     switch,
 )
 
+from frustration_table import edge_shift_arrays, table_frustration, table_scan
 from plain_search import (
     reference_connected,
     reference_from_edge_list,
@@ -438,31 +439,9 @@ def test_frustration_witness_matches_smallest_sorted_rule(g):
 
 def smallest_sorted_rule(g):
     """The minimum, and the smallest sorted negative edge list over every
-    tied mask of the numpy scan, picked the slow way."""
-    shift_u, shift_v, eneg = _edge_shift_arrays(g)
-    best, masks = _kernels.frustration_scan_numpy(shift_u, shift_v, eneg, 1 << (g.n - 1))
+    tied mask of the numpy table, picked the slow way."""
+    best, masks = table_scan(*edge_shift_arrays(g), 1 << (g.n - 1))
     return best, frozenset(min(sorted(negatives_after_switch(g, int(mask))) for mask in masks))
-
-
-@pytest.mark.parametrize("admitted", [True, False])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_frustration_path_is_chosen_by_size(monkeypatch, admitted, seed):
-    # at n = 15, the densest graphs the plane scan takes (m * 2^14 equal to
-    # the constant) and the lightest it leaves to the numpy table
-    m = (_kernels.PLANE_SCAN_MAX_BITS >> 14) + (not admitted)
-    g = _sparse_random(seed, 15, m)
-    assert (g.m << 14 <= _kernels.PLANE_SCAN_MAX_BITS) == admitted
-    want = smallest_sorted_rule(g)
-    calls = []
-    numpy_scan = _kernels.frustration_scan_numpy
-
-    def counting_scan(*args):
-        calls.append(args)
-        return numpy_scan(*args)
-
-    monkeypatch.setattr(_kernels, "frustration_scan_numpy", counting_scan)
-    assert frustration_index(g) == want
-    assert len(calls) == (0 if admitted else 1)
 
 
 def _triangle_and_two_edges(seed, n):
@@ -477,16 +456,51 @@ def _triangle_and_two_edges(seed, n):
     return SignedGraph.from_edge_list(n, [(u, v, s) for (u, v), s in edges.items()])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 99999), st.integers(12, 18), st.sampled_from([None, 0.2, 0.5]))
-def test_frustration_on_both_sides_of_the_gate(seed, n, edge_prob):
-    # the tie-heavy graphs (m = 5) take the plane scan up to n = 18; the
-    # random ones take it up to n = 15 or 16, and the numpy table above
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 99999), st.integers(4, 20), st.sampled_from([None, 0.2, 0.5]))
+def test_frustration_matches_the_table(seed, n, edge_prob):
+    # the value and witness of the one scan against the numpy table and
+    # its own witness pick; the tie-heavy graphs (m = 5) keep up to
+    # hundreds of thousands of tied masks
     if edge_prob is None:
         g = _triangle_and_two_edges(seed, n)
     else:
         g = gen_random_connected(seed, n, edge_prob)
-    assert frustration_index(g) == smallest_sorted_rule(g)
+    assert frustration_index(g) == table_frustration(g)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # an all-negative triangle through two of the vertices the blocks
+        # fix (18 to 21), 19 vertices isolated
+        [(0, 19, -1), (0, 21, -1), (19, 21, -1)],
+        # one all-negative triangle below the blocks' vertices and one
+        # through them, and a positive edge between two of them
+        [(1, 2, -1), (1, 3, -1), (2, 3, -1), (5, 18, -1), (5, 20, -1), (18, 20, -1),
+         (19, 21, 1)],
+    ],
+)
+def test_frustration_ties_across_blocks(edges):
+    g = SignedGraph.from_edge_list(22, edges)
+    best, masks = table_scan(*edge_shift_arrays(g), 1 << 21)
+    assert len({*(masks >> _kernels._BLOCK_BITS).tolist()}) > 1  # tied masks span blocks
+    assert frustration_index(g, max_n=22) == table_frustration(g)
+
+
+def test_frustration_memory_stays_a_few_planes():
+    # the table's counts alone take 2^23 bytes (8 MiB) at n = 24; the
+    # scan holds a few planes and patterns of one block's 2^17 bits
+    # (0.7 MB measured)
+    g = _sparse_random(3, 24, 100)
+    frustration_index(g, max_n=24)  # the direct width's patterns are cached
+    tracemalloc.start()
+    try:
+        frustration_index(g, max_n=24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_frustration_zero_iff_balanced():
@@ -507,7 +521,7 @@ def test_frustration_refuses_a_negative_cap():
 
 @pytest.mark.parametrize("n", [FRUSTRATION_SCAN_MAX_N + 1, 40, 64])
 def test_frustration_scan_ceiling_ignores_max_n(n):
-    # the scan table has 2^(n-1) entries; the refusal comes before it exists
+    # the scan's time doubles with each vertex; the refusal comes before it starts
     with pytest.raises(CapacityError, match=f"n <= {FRUSTRATION_SCAN_MAX_N}"):
         frustration_index(gen_path(n), max_n=n)
 
@@ -522,7 +536,7 @@ def test_frustration_scan_ceiling_ignores_max_n(n):
 )
 def test_frustration_counts_wider_than_8_bits(n, want, ties):
     g = SignedGraph.from_edge_list(n, [(u, v, -1) for u in range(n) for v in range(u + 1, n)])
-    best, masks = _kernels.frustration_scan_numpy(*_edge_shift_arrays(g), 1 << (n - 1))
+    best, masks = table_scan(*edge_shift_arrays(g), 1 << (n - 1))
     assert (best, len(masks)) == (want, ties)
     assert frustration_index(g, max_n=n)[0] == want
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import time
 import tracemalloc
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from signedspread import _kernels
+from signedspread import _kernels, graph
 from signedspread.engine import (
     MODE_ID,
     MODE_RID,
@@ -17,11 +19,12 @@ from signedspread.engine import (
     step,
 )
 from signedspread.families import gen_cycle, gen_ktt_tau, gen_path, gen_random_connected
-from signedspread.graph import SignedGraph, _edge_shift_arrays
+from signedspread.graph import SignedGraph
 from signedspread.solver import exact_confusion, exact_relaxed_confusion, min_steps
 from signedspread.strategies import rescue_priority
 from signedspread.symmetry import automorphisms
 
+from frustration_table import edge_shift_arrays, table_scan
 from plain_search import pack, reference_step, unpack
 
 
@@ -208,18 +211,15 @@ def test_step_outputs_are_read_only():
 
 def chain_frontier_steps(g, mode, picks, branch_at):
     """Step g through one context along picks ((index into the Zero
-    vertices, place -A in rID)), checking every step against a fresh
-    context (every transmitter a sender) and reference_step; then branch
-    twice from the state after branch_at steps, which the context no
-    longer holds, as brute_oracle does. Returns the last state of the
-    chain."""
+    vertices, place -A in rID)), checking every step against
+    reference_step; then branch twice from the state after branch_at
+    steps, as brute_oracle does. Returns the last state of the chain."""
     ctx = StepContext(g)
     labels = ctx.zeros_state()
     states = [labels]
 
     def checked_step(labels, v, info):
         after = ctx.step(labels, v, info)
-        assert_identical(after, StepContext(g).step(labels, v, info))
         assert_identical(after, reference_step(g, labels, v, info))
         return after
 
@@ -275,7 +275,7 @@ def test_frontier_cases_reach_confusion(case):
 @given(frontier_cases())
 @example(CONFUSING_CASES[0])
 @example(CONFUSING_CASES[1])
-def test_frontier_steps_match_fresh_context_and_reference(case):
+def test_frontier_steps_match_reference(case):
     chain_frontier_steps(*case)
 
 
@@ -352,10 +352,10 @@ def test_step_optimum_and_group_invariant_under_relabeling(seed, n, rnd):
 
 
 @st.composite
-def signed_edge_lists(draw):
-    """(n, edges) on n = 1..10 vertices, any subset of the pairs: edges at
-    vertex 0, isolated vertices and disconnected graphs all occur."""
-    n = draw(st.integers(1, 10))
+def signed_edge_lists(draw, max_n=10):
+    """(n, edges) on n = 1..max_n vertices, any subset of the pairs: edges
+    at vertex 0, isolated vertices and disconnected graphs all occur."""
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picked = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return n, [(u, v, draw(st.sampled_from([1, -1]))) for u, v in sorted(picked)]
@@ -372,49 +372,93 @@ def reference_scan(n, edges):
     return best, [mask for mask, c in enumerate(counts) if c == best]
 
 
+def reference_pick(n, edges):
+    """frustration_scan's (best, mask), one mask at a time: among the
+    tied masks, the smallest sorted list of negative edges, and the
+    smallest mask among equal lists."""
+    best, masks = reference_scan(n, edges)
+
+    def negatives(mask):
+        side = [0] + [(mask >> (v - 1)) & 1 for v in range(1, n)]
+        return sorted((u, v) for u, v, s in edges if (s < 0) != (side[u] != side[v]))
+
+    return best, min(masks, key=lambda mask: (negatives(mask), mask))
+
+
 @settings(max_examples=150, deadline=None)
 @given(signed_edge_lists())
 @example((1, []))
 @example((10, [(0, 9, -1), (0, 4, 1), (4, 9, 1)]))  # edges at vertex 0, 6 isolated
 @example((9, [(0, 1, -1), (2, 3, -1), (3, 8, -1), (2, 8, -1), (5, 6, 1)]))  # 3 parts
 def test_frustration_scan_matches_reference(case):
+    # the numpy table the tests keep as the planes' reference
     n, edges = case
-    shifts = _edge_shift_arrays(SignedGraph.from_edge_list(n, edges))
-    best, masks = _kernels.frustration_scan_numpy(*shifts, 1 << (n - 1))
+    shifts = edge_shift_arrays(SignedGraph.from_edge_list(n, edges))
+    best, masks = table_scan(*shifts, 1 << (n - 1))
     assert masks.dtype == np.int64
     assert (best, masks.tolist()) == reference_scan(n, edges)
 
 
-def reference_rows(n, edges):
-    """Per edge, the int whose bit x is 1 when the edge is negative after
-    switching mask x, one mask at a time."""
-    rows = []
-    for u, v, s in edges:
-        row = 0
-        for mask in range(1 << (n - 1)):
-            side_u = u and (mask >> (u - 1)) & 1
-            side_v = v and (mask >> (v - 1)) & 1
-            row |= ((s < 0) != (side_u != side_v)) << mask
-        rows.append(row)
-    return rows
+@settings(max_examples=150, deadline=None)
+@given(signed_edge_lists(), st.integers(1, 4))
+@example((1, []), 4)
+@example((2, [(0, 1, -1)]), 1)
+@example((10, [(0, 9, -1), (0, 4, 1), (4, 9, 1)]), 2)  # edges at vertex 0, 6 isolated
+@example((9, [(0, 1, -1), (2, 3, -1), (3, 8, -1), (2, 8, -1), (5, 6, 1)]), 3)  # 3 parts
+@example((8, [(u, v, -1) for u in range(8) for v in range(u + 1, 8)]), 2)  # counts up to 28
+def test_plane_scan_matches_numpy_scan(case, direct_bits):
+    # the planes count every mask as the table does, with the vertices
+    # past direct_bits added by doubling
+    n, edges = case
+    shifts = edge_shift_arrays(SignedGraph.from_edge_list(n, edges))
+    best, masks = table_scan(*shifts, 1 << (n - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_DIRECT_BITS", direct_bits)
+        planes, _ = _kernels._count(n - 1, edges, _kernels._widen([0], 0, n - 1))
+    plane_best, tied = _kernels._minimum(planes, (1 << (1 << (n - 1))) - 1)
+    assert plane_best == best
+    assert [x for x in range(1 << (n - 1)) if tied >> x & 1] == masks.tolist()
+
+
+def test_patterns_switch_their_vertex():
+    # the direct widths' patterns are cached, wider ones widened per call
+    for n_bits in (0, 1, 2, 3, 4, 12, 13, 14):
+        cached = min(n_bits, _kernels._DIRECT_BITS)
+        pats = _kernels._widen(_kernels._vertex_patterns(cached), cached, n_bits)
+        assert len(pats) == n_bits + 1 and pats[0] == 0
+        for w in range(1, n_bits + 1):
+            bits = "".join(str(x >> (w - 1) & 1) for x in reversed(range(1 << n_bits)))
+            assert pats[w] == int(bits, 2)
 
 
 @settings(max_examples=150, deadline=None)
-@given(signed_edge_lists())
-@example((1, []))
-@example((2, [(0, 1, -1)]))
-@example((10, [(0, 9, -1), (0, 4, 1), (4, 9, 1)]))  # edges at vertex 0, 6 isolated
-@example((9, [(0, 1, -1), (2, 3, -1), (3, 8, -1), (2, 8, -1), (5, 6, 1)]))  # 3 parts
-@example((8, [(u, v, -1) for u in range(8) for v in range(u + 1, 8)]))  # counts up to 28
-def test_plane_scan_matches_numpy_scan(case):
+@given(signed_edge_lists(max_n=12), st.integers(1, 4), st.integers(0, 3))
+@example((12, [(0, 1, -1), (0, 2, -1), (1, 2, -1)]), 2, 0)  # ties in every block
+@example((12, [(3, 10, -1), (3, 11, -1), (10, 11, -1), (0, 9, 1)]), 2, 1)  # ties span blocks
+@example((11, [(4, 9, -1), (4, 10, 1), (9, 10, 1), (1, 2, -1), (1, 5, 1), (2, 5, -1)]), 1, 2)
+@example((12, [(u, v, -1) for u in range(12) for v in range(u + 1, 12)]), 3, 1)
+def test_blocks_and_chunks_match_reference(case, direct_bits, extra):
+    # small widths make the doubling, the blocks and the chunks of the
+    # witness pick all run on graphs the reference can count
     n, edges = case
-    shifts = _edge_shift_arrays(SignedGraph.from_edge_list(n, edges))
-    best, masks = _kernels.frustration_scan_numpy(*shifts, 1 << (n - 1))
-    plane_best, tied, rows = _kernels.frustration_scan_planes(n, edges)
-    assert plane_best == best
-    assert [x for x in range(1 << (n - 1)) if tied >> x & 1] == masks.tolist()
-    assert tied >> (1 << (n - 1)) == 0
-    assert rows == reference_rows(n, edges)
+    if not edges:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_DIRECT_BITS", direct_bits)
+        patch.setattr(_kernels, "_BLOCK_BITS", min(direct_bits + extra, 4))
+        got = _kernels.frustration_scan(n, edges)
+    assert got == reference_pick(n, edges)
+
+
+def test_scan_modules_import_no_numpy():
+    # the switching scan runs on Python ints alone, so neither module
+    # may pull numpy into a process that only needs the frustration index
+    for module in (_kernels, graph):
+        tree = ast.parse(inspect.getsource(module))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [name for name in names if name.split(".")[0] == "numpy"], module.__name__
 
 
 @settings(max_examples=60, deadline=None)
