@@ -2,31 +2,37 @@
 
 frustration_scan counts the negative edges of all 2^(n-1) switchings as
 bit planes of Python ints (bit slicing, Biham 1997), in a few ints of at
-most 2^_BLOCK_BITS bits at any n. Per call before (the numpy doubling
-table, now tests/frustration_table.py, where m * 2^(n-1) > 2^20; direct
-bit planes on rows marked *) and now: the best call in 6 processes per
-side over two rounds of 5 calls (also 6 of 20 calls at n = 12 and 14, 4
-of 3 at n >= 26), and their largest peak RSS, 35.5 MB once signedspread
-is imported. Random graphs draw m pairs and signs from
-random.Random(1000 n + m); "triangle" is an all-negative triangle and 17
-isolated vertices (393,216 tied masks). 2-core Xeon VM, Python 3.11,
-numpy 2.4.
+most 2^_BLOCK_BITS bits at any n, and picks the witness once in each
+block of 2^_BLOCK_BITS switchings that reaches the minimum. Per call
+before (the witness picked in chunks of 2^12 tied switchings, by its own
+branch at n <= 13, and the vertex patterns past 12 bits widened in every
+call) and now: the best call of 6 processes per side, the sides'
+processes alternating, each making 20 calls at n <= 14, 5 at n = 16..24
+and 3 at n >= 26; and the largest peak RSS of those processes. Random
+graphs draw m pairs and signs from random.Random(1000 n + m); "triangle"
+is an all-negative triangle and 17 isolated vertices (393,216 tied
+masks), K24 the all-negative complete graph (1,352,078 tied masks).
+The pick reads each row over the whole block, so a few ties far apart
+in one block (18, 40: 4 tied masks) cost more than in chunks, and on
+small graphs it builds again the rows the count built (all 20 at 12, 20,
+whose vertex 0 is isolated). 2-core Xeon VM, Python 3.11.
 
     n, m                  before               now
-    12, 20 *              0.024 ms,  35.7 MB   0.022 ms, 35.7 MB
-    14, 91 *              0.22 ms,   35.8 MB   0.19 ms,  35.8 MB
-    16, 64 (ktt(8))       0.39 ms,   36.0 MB   0.20 ms,  35.6 MB
-    16, 120               0.55 ms,   36.0 MB   0.37 ms,  35.7 MB
-    18, 40                0.48 ms,   36.0 MB   0.37 ms,  35.7 MB
-    20, 3                 1.4 ms,    37.5 MB   0.15 ms,  35.7 MB
-    20, 3 (triangle)      8.9 ms,    46.7 MB   1.8 ms,   35.6 MB
-    20, 60                1.5 ms,    37.1 MB   0.83 ms,  35.6 MB
-    20, 100 (ktt(10))     4.1 ms,    37.2 MB   1.0 ms,   35.6 MB
-    20, 190               4.6 ms,    37.1 MB   1.7 ms,   35.8 MB
-    22, 80                7.3 ms,    41.2 MB   4.3 ms,   35.6 MB
-    24, 100               33 ms,     57.1 MB   17 ms,    35.7 MB
-    26, 120               88 ms,    121.0 MB   80 ms,    35.8 MB
-    28, 150               603 ms,   356.2 MB   373 ms,   35.6 MB
+    12, 20                0.022 ms,  36.3 MB   0.026 ms,  36.2 MB
+    14, 91                0.18 ms,   36.2 MB   0.14 ms,   36.2 MB
+    16, 64 (ktt(8))       0.17 ms,   36.3 MB   0.16 ms,   36.2 MB
+    16, 120               0.30 ms,   36.2 MB   0.31 ms,   36.2 MB
+    18, 40                0.35 ms,   36.2 MB   0.38 ms,   36.2 MB
+    20, 3                 0.15 ms,   36.2 MB   0.046 ms,  36.3 MB
+    20, 3 (triangle)      1.6 ms,    36.3 MB   0.23 ms,   36.4 MB
+    20, 60                0.88 ms,   36.2 MB   0.77 ms,   36.2 MB
+    20, 100 (ktt(10))     0.89 ms,   36.4 MB   0.80 ms,   36.4 MB
+    20, 190               1.7 ms,    36.3 MB   1.4 ms,    36.2 MB
+    22, 80                4.0 ms,    36.3 MB   4.2 ms,    36.2 MB
+    24, 100               16 ms,     36.3 MB   17 ms,     36.2 MB
+    24, 276 (K24)         237 ms,    36.2 MB   32 ms,     36.2 MB
+    26, 120               82 ms,     36.3 MB   80 ms,     36.2 MB
+    28, 150               353 ms,    36.3 MB   350 ms,    36.3 MB
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import importlib.util
 from itertools import zip_longest
 
 # perfbench/run.py stamps these into each run's environment record; they
-# select nothing. ROADMAP item 1 deletes them with that stamp.
+# select nothing. ROADMAP item 1b deletes them with that stamp.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 ENV_FLAG = "SIGNEDSPREAD_BACKEND"
 
@@ -45,28 +51,23 @@ def resolve_backend() -> str:
     return "numpy"
 
 
-# mask bits counted directly, one ripple-carry add per edge; the masks
-# of a chunk of the witness pick
+# mask bits counted directly, one ripple-carry add per edge
 _DIRECT_BITS = 12
 # mask bits of a block; the switchings of the vertices above are enumerated
 _BLOCK_BITS = 17
 
 
-def _widen(pats, bits, n_bits):
-    """Vertex patterns over 2^bits masks widened to 2^n_bits: each one
-    repeated, and each further vertex switching the upper half."""
-    width = 1 << bits
-    for _ in range(bits, n_bits):
-        pats = [p | p << width for p in pats] + [((1 << width) - 1) << width]
-        width <<= 1
-    return pats
-
-
-@functools.cache  # one entry per width up to _DIRECT_BITS, filled on first use
+@functools.cache  # one entry per width up to _BLOCK_BITS, 0.56 MB in all
 def _vertex_patterns(n_bits):
     """Per vertex w, the int whose bit x is 1 when mask x switches w (bit
-    w - 1 of x), over the 2^n_bits masks; 0 for vertex 0."""
-    return tuple(_widen([0], 0, n_bits))
+    w - 1 of x), over the 2^n_bits masks; 0 for vertex 0. Each width
+    doubles the one below: every pattern repeated, and vertex n_bits
+    switching the upper half."""
+    if n_bits == 0:
+        return (0,)
+    width = 1 << (n_bits - 1)
+    below = _vertex_patterns(n_bits - 1)
+    return (*[p | p << width for p in below], ((1 << width) - 1) << width)
 
 
 def _add_row(planes, row):
@@ -92,16 +93,15 @@ def _add(planes, other):
     return out
 
 
-def _count(n_bits, edges, pats):
-    """(planes, rows): the negative-edge counts of the 2^n_bits masks as
-    bit planes (plane i holds bit i of every count), and the rows of the
-    edges counted directly. Edges with v > n_bits are left out; pats are
-    vertex patterns at least as wide as any back edge's row."""
+def _count(n_bits, edges):
+    """The negative-edge counts of the 2^n_bits masks as bit planes
+    (plane i holds bit i of every count). Edges with v > n_bits are left
+    out."""
     low = min(n_bits, _DIRECT_BITS)
     direct = _vertex_patterns(low)
     width = 1 << low
     full = (1 << width) - 1
-    planes, rows = [], []
+    planes = []
     back = [[] for _ in range(low, n_bits)] if n_bits > low else ()
     for u, v, s in edges:
         if v > low:
@@ -111,7 +111,6 @@ def _count(n_bits, edges, pats):
         carry = direct[u] ^ direct[v]
         if s < 0:
             carry ^= full
-        rows.append(carry)
         # _add_row, inlined: a call per edge is a fifth of a small graph's scan
         for i, plane in enumerate(planes):
             planes[i] = plane ^ carry
@@ -120,20 +119,21 @@ def _count(n_bits, edges, pats):
                 break
         else:
             planes.append(carry)
-    for edges_v in back:
+    for bits, edges_v in enumerate(back, low):
         # the masks width..2 * width - 1 switch the next vertex
         planes = [p | p << width for p in planes]
         if edges_v:
             # its back edges, negative with it unswitched; switched, each flips
+            pats = _vertex_patterns(bits)
             kept, flipped = [], []
             for u, s in edges_v:
-                row = pats[u] & full if s > 0 else pats[u] & full ^ full
+                row = pats[u] if s > 0 else pats[u] ^ full
                 _add_row(kept, row)
                 _add_row(flipped, row ^ full)
             planes = _add(planes, [k | f << width for k, f in zip_longest(kept, flipped, fillvalue=0)])
         width <<= 1
         full = (1 << width) - 1
-    return planes, rows
+    return planes
 
 
 def _minimum(planes, tied):
@@ -148,15 +148,16 @@ def _minimum(planes, tied):
     return best, tied
 
 
-def _smallest_tied_mask(rows, tied) -> int:
+def _smallest_tied_mask(edges, pats, tied) -> int:
     """The tied mask (a bit of tied) with the largest negative-edge
     indicator, so the smallest sorted negative edge list: edge by edge,
-    keep the masks whose row (bit x set when the edge is negative under
-    mask x) has the edge negative whenever any does."""
-    for row in rows:
+    keep the masks under which the edge is negative whenever any does.
+    pats[w] has bit x set when mask x switches vertex w."""
+    for u, v, s in edges:
         if not tied & (tied - 1):
             break
-        negative = tied & row
+        cut = tied & (pats[u] ^ pats[v])  # the tied masks that switch one end
+        negative = tied ^ cut if s < 0 else cut
         if negative:
             tied = negative
     return (tied & -tied).bit_length() - 1
@@ -179,31 +180,26 @@ def frustration_scan(n, edges):
     those (the smallest mask on a tie). Bit w - 1 of a mask switches
     vertex w; none switches vertex 0.
 
-    Past _DIRECT_BITS bits, masks are counted in blocks of the low
-    _BLOCK_BITS bits and picked from in chunks of the low _DIRECT_BITS,
-    where an edge from u below to t above is an edge 0-u whose sign
-    flips when t is switched. Of the chunks' winners at the minimum, the
-    one with the largest negative-edge indicator wins, the first on a tie.
+    Masks are counted and picked from in blocks of the low _BLOCK_BITS
+    bits, where an edge from u below to t above is an edge 0-u whose
+    sign flips when t is switched. Of the blocks' winners at the
+    minimum, the one with the largest negative-edge indicator wins, the
+    first on a tie.
     """
     n_bits = n - 1
-    if n_bits <= _DIRECT_BITS:  # one block, one chunk
-        planes, rows = _count(n_bits, edges, ())
-        best, tied = _minimum(planes, (1 << (1 << n_bits)) - 1)
-        return best, _smallest_tied_mask(rows, tied) if best else (tied & -tied).bit_length() - 1
     low = min(n_bits, _BLOCK_BITS)
-    # back rows span at most half a block; rows of edges to vertices above, all
-    pats = _widen(_vertex_patterns(_DIRECT_BITS), _DIRECT_BITS, low if n_bits > low else low - 1)
-    planes, rows = _count(low, edges, pats)
+    pats = _vertex_patterns(low)
+    planes = _count(low, edges)
     # in a block an edge between vertices above low, or from vertex 0 to
     # one, is a constant; those from u below count a or b as u is switched
-    fixed = [e for e in edges if e[1] > low and not 0 < e[0] <= low]
-    links = {}
+    fixed, links = [], {}
     for u, v, s in edges:
-        if v > low and 0 < u <= low:
-            links.setdefault(u, []).append((v, s))
+        if v > low:
+            if 0 < u <= low:
+                links.setdefault(u, []).append((v, s))
+            else:
+                fixed.append((u, v, s))
     wide = (1 << (1 << low)) - 1
-    bits = _DIRECT_BITS
-    full = (1 << (1 << bits)) - 1
     best = pick = None
     for block in range(1 << (n_bits - low)):
         side = block << low + 1  # bit w is vertex w, for w > low
@@ -222,25 +218,11 @@ def frustration_scan(n, edges):
             continue
         if count == 0:  # no tied mask has a negative edge: take the smallest
             return 0, (tied & -tied).bit_length() - 1 | block << low
-        chunk = block << (low - bits)  # the chunk of tied's bit 0
-        while tied:
-            skip = (tied & -tied).bit_length() - 1 >> bits
-            part = tied >> (skip << bits) & full
-            tied >>= skip + 1 << bits
-            chunk += skip
-            side = chunk << bits + 1  # bit w is vertex w, for w > bits
-            if part & (part - 1):
-                # the chunk's rows in order: the count's for edges below
-                # bits, built here for those to a vertex above
-                direct_rows = iter(rows)
-                part = 1 << _smallest_tied_mask(
-                    (next(direct_rows) if v <= bits
-                     else pats[u] & full ^ (full if (s < 0) ^ (side >> v & 1) else 0)
-                     for u, v, s in edges if u <= bits), part)
-            mask = part.bit_length() - 1 | chunk << bits
-            if best is None or count < best:
-                best, pick = count, mask
-            elif _indicator(edges, mask) > _indicator(edges, pick):
-                pick = mask
-            chunk += 1
+        # a vertex above low is switched in all of the block's masks or in none
+        top = (*pats, *[wide if side >> w & 1 else 0 for w in range(low + 1, n)])
+        mask = _smallest_tied_mask(edges, top, tied) | block << low
+        if best is None or count < best:
+            best, pick = count, mask
+        elif _indicator(edges, mask) > _indicator(edges, pick):
+            pick = mask
     return best, pick

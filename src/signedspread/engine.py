@@ -123,7 +123,7 @@ class StepContext:
     """
 
     # perfbench's tracer keys its step byte count on this; it selects
-    # nothing. ROADMAP item 1 deletes it with the tracer's reading.
+    # nothing. ROADMAP item 1b deletes it with the tracer's reading.
     backend = "numpy"
 
     def __init__(self, g: SignedGraph):

@@ -689,8 +689,9 @@ def explore_conjecture(
     which = "conj2": relaxed confusion <= min(frustration, ceil(3n/5 - 4)).
     Violations carry the graph and solve report verbatim so they can be
     re-run standalone. conj2 computes the frustration index only when the
-    relaxed optimum is positive or above the ceiling: an optimum of 0
-    meets min(frustration, ceiling) whenever the ceiling is nonnegative.
+    solve is optimal and the relaxed optimum is positive or above the
+    ceiling: an optimum of 0 meets min(frustration, ceiling) whenever the
+    ceiling is nonnegative.
     """
     if which not in ("conj1", "conj2"):
         raise InputError("which must be 'conj1' or 'conj2'")
@@ -702,18 +703,16 @@ def explore_conjecture(
         ell = None
         bound = conjecture_ceiling(g.n)
         try:
-            if which == "conj1":
-                rep = exact_confusion(g, budget)
-            else:
-                rep = exact_relaxed_confusion(g, budget)
-                # an optimum of 0 is at most min(ell, bound) for every ell
-                # once bound >= 0: ell cannot decide a violation there
-                if rep.optimum > 0 or rep.optimum > bound:
-                    ell, _ = frustration_index(g, max_n=max(FRUSTRATION_MAX_N, g.n))
-                    bound = min(ell, bound)
+            solve = exact_confusion if which == "conj1" else exact_relaxed_confusion
+            rep = solve(g, budget)
             if not rep.optimal:
                 report.skipped.append(f"{label}: budget exhausted")
                 continue
+            # an optimum of 0 is at most min(ell, bound) for every ell
+            # once bound >= 0: ell cannot decide a violation there
+            if which == "conj2" and (rep.optimum > 0 or rep.optimum > bound):
+                ell, _ = frustration_index(g, max_n=max(FRUSTRATION_MAX_N, g.n))
+                bound = min(ell, bound)
         except CapacityError as exc:
             report.skipped.append(f"{label}: {exc}")
             continue

@@ -488,12 +488,26 @@ def test_frustration_ties_across_blocks(edges):
     assert frustration_index(g, max_n=22) == table_frustration(g)
 
 
+def test_frustration_picks_once_per_tied_block(monkeypatch):
+    # all-negative triangle plus 17 isolated vertices: the 393,216 tied
+    # masks fill all 4 blocks of 2^17, and each block narrows its ties
+    # in one pick
+    g = SignedGraph.from_edge_list(20, [(0, 1, -1), (0, 2, -1), (1, 2, -1)])
+    picks = []
+    pick = _kernels._smallest_tied_mask
+    monkeypatch.setattr(_kernels, "_smallest_tied_mask",
+                        lambda *args: picks.append(args) or pick(*args))
+    assert frustration_index(g) == table_frustration(g)
+    assert 0 < len(picks) <= 4
+
+
 def test_frustration_memory_stays_a_few_planes():
     # the table's counts alone take 2^23 bytes (8 MiB) at n = 24; the
-    # scan holds a few planes and patterns of one block's 2^17 bits
-    # (0.7 MB measured)
+    # scan holds a few planes of one block's 2^17 bits, and the vertex
+    # patterns of every width up to a block's, built here in the call
+    # (1.0 MB measured; 0.4 MB with the patterns cached)
     g = _sparse_random(3, 24, 100)
-    frustration_index(g, max_n=24)  # the direct width's patterns are cached
+    _kernels._vertex_patterns.cache_clear()
     tracemalloc.start()
     try:
         frustration_index(g, max_n=24)
@@ -538,7 +552,7 @@ def test_frustration_counts_wider_than_8_bits(n, want, ties):
     g = SignedGraph.from_edge_list(n, [(u, v, -1) for u in range(n) for v in range(u + 1, n)])
     best, masks = table_scan(*edge_shift_arrays(g), 1 << (n - 1))
     assert (best, len(masks)) == (want, ties)
-    assert frustration_index(g, max_n=n)[0] == want
+    assert frustration_index(g, max_n=n) == table_frustration(g)
 
 
 def is_switching_of(g, negatives):

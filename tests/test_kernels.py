@@ -414,17 +414,16 @@ def test_plane_scan_matches_numpy_scan(case, direct_bits):
     best, masks = table_scan(*shifts, 1 << (n - 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "_DIRECT_BITS", direct_bits)
-        planes, _ = _kernels._count(n - 1, edges, _kernels._widen([0], 0, n - 1))
+        planes = _kernels._count(n - 1, edges)
     plane_best, tied = _kernels._minimum(planes, (1 << (1 << (n - 1))) - 1)
     assert plane_best == best
     assert [x for x in range(1 << (n - 1)) if tied >> x & 1] == masks.tolist()
 
 
 def test_patterns_switch_their_vertex():
-    # the direct widths' patterns are cached, wider ones widened per call
+    # each width's patterns are doubled from the width below
     for n_bits in (0, 1, 2, 3, 4, 12, 13, 14):
-        cached = min(n_bits, _kernels._DIRECT_BITS)
-        pats = _kernels._widen(_kernels._vertex_patterns(cached), cached, n_bits)
+        pats = _kernels._vertex_patterns(n_bits)
         assert len(pats) == n_bits + 1 and pats[0] == 0
         for w in range(1, n_bits + 1):
             bits = "".join(str(x >> (w - 1) & 1) for x in reversed(range(1 << n_bits)))
@@ -437,9 +436,9 @@ def test_patterns_switch_their_vertex():
 @example((12, [(3, 10, -1), (3, 11, -1), (10, 11, -1), (0, 9, 1)]), 2, 1)  # ties span blocks
 @example((11, [(4, 9, -1), (4, 10, 1), (9, 10, 1), (1, 2, -1), (1, 5, 1), (2, 5, -1)]), 1, 2)
 @example((12, [(u, v, -1) for u in range(12) for v in range(u + 1, 12)]), 3, 1)
-def test_blocks_and_chunks_match_reference(case, direct_bits, extra):
-    # small widths make the doubling, the blocks and the chunks of the
-    # witness pick all run on graphs the reference can count
+def test_blocks_match_reference(case, direct_bits, extra):
+    # small widths make the doubling, the blocks and the witness pick in
+    # each block all run on graphs the reference can count
     n, edges = case
     if not edges:
         return

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from signedspread.errors import CapacityError, InputError
-from signedspread.families import gen_cycle, gen_path
+from signedspread.families import gen_cycle, gen_gst, gen_path
 from signedspread.graph import SignedGraph, frustration_index, graph_from_json, graph_to_json
 from signedspread.solver import Budget, exact_confusion, exact_relaxed_confusion
 from signedspread import cli, verify
@@ -192,6 +192,12 @@ def test_explorer_conj2_scans_frustration_only_where_it_can_bind(monkeypatch):
     assert len(scanned) == binding < len(graphs)
     assert want and [[v.label, v.n, v.observed, v.bound, v.frustration, v.graph,
                       {**v.report, "millis": None}] for v in rep.violations] == want
+    # a solve cut short by its budget is skipped before any scan, also
+    # on a graph past the scan's n <= 28 ceiling
+    scanned.clear()
+    rep = explore_conjecture("conj2", graphs=[("gst(10,3)", gen_gst(10, 3))],
+                             budget=Budget(nodes=5, max_n=40))
+    assert not scanned and rep.checked == 0 and rep.skipped == ["gst(10,3): budget exhausted"]
 
 
 def test_family_instances_bounded_and_distinct():
