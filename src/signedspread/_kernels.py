@@ -3,36 +3,30 @@
 frustration_scan counts the negative edges of all 2^(n-1) switchings as
 bit planes of Python ints (bit slicing, Biham 1997), in a few ints of at
 most 2^_BLOCK_BITS bits at any n, and picks the witness once in each
-block of 2^_BLOCK_BITS switchings that reaches the minimum. Per call
-before (the witness picked in chunks of 2^12 tied switchings, by its own
-branch at n <= 13, and the vertex patterns past 12 bits widened in every
-call) and now: the best call of 6 processes per side, the sides'
-processes alternating, each making 20 calls at n <= 14, 5 at n = 16..24
-and 3 at n >= 26; and the largest peak RSS of those processes. Random
-graphs draw m pairs and signs from random.Random(1000 n + m); "triangle"
-is an all-negative triangle and 17 isolated vertices (393,216 tied
-masks), K24 the all-negative complete graph (1,352,078 tied masks).
-The pick reads each row over the whole block, so a few ties far apart
-in one block (18, 40: 4 tied masks) cost more than in chunks, and on
-small graphs it builds again the rows the count built (all 20 at 12, 20,
-whose vertex 0 is isolated). 2-core Xeon VM, Python 3.11.
+block of 2^_BLOCK_BITS switchings that reaches the minimum. Per call:
+the best call of 6 processes, each making 20 calls at n <= 14, 5 at
+n = 16..24 and 3 at n >= 26; and the largest peak RSS of those
+processes. Random graphs draw m pairs and signs from
+random.Random(1000 n + m); "triangle" is an all-negative triangle and 17
+isolated vertices (393,216 tied masks), K24 the all-negative complete
+graph (1,352,078 tied masks). 2-core Xeon VM, Python 3.11.
 
-    n, m                  before               now
-    12, 20                0.022 ms,  36.3 MB   0.026 ms,  36.2 MB
-    14, 91                0.18 ms,   36.2 MB   0.14 ms,   36.2 MB
-    16, 64 (ktt(8))       0.17 ms,   36.3 MB   0.16 ms,   36.2 MB
-    16, 120               0.30 ms,   36.2 MB   0.31 ms,   36.2 MB
-    18, 40                0.35 ms,   36.2 MB   0.38 ms,   36.2 MB
-    20, 3                 0.15 ms,   36.2 MB   0.046 ms,  36.3 MB
-    20, 3 (triangle)      1.6 ms,    36.3 MB   0.23 ms,   36.4 MB
-    20, 60                0.88 ms,   36.2 MB   0.77 ms,   36.2 MB
-    20, 100 (ktt(10))     0.89 ms,   36.4 MB   0.80 ms,   36.4 MB
-    20, 190               1.7 ms,    36.3 MB   1.4 ms,    36.2 MB
-    22, 80                4.0 ms,    36.3 MB   4.2 ms,    36.2 MB
-    24, 100               16 ms,     36.3 MB   17 ms,     36.2 MB
-    24, 276 (K24)         237 ms,    36.2 MB   32 ms,     36.2 MB
-    26, 120               82 ms,     36.3 MB   80 ms,     36.2 MB
-    28, 150               353 ms,    36.3 MB   350 ms,    36.3 MB
+    n, m                  time       peak RSS
+    12, 20                0.026 ms,  36.2 MB
+    14, 91                0.14 ms,   36.2 MB
+    16, 64 (ktt(8))       0.16 ms,   36.2 MB
+    16, 120               0.31 ms,   36.2 MB
+    18, 40                0.38 ms,   36.2 MB
+    20, 3                 0.046 ms,  36.3 MB
+    20, 3 (triangle)      0.23 ms,   36.4 MB
+    20, 60                0.77 ms,   36.2 MB
+    20, 100 (ktt(10))     0.80 ms,   36.4 MB
+    20, 190               1.4 ms,    36.2 MB
+    22, 80                4.2 ms,    36.2 MB
+    24, 100               17 ms,     36.2 MB
+    24, 276 (K24)         32 ms,     36.2 MB
+    26, 120               80 ms,     36.2 MB
+    28, 150               350 ms,    36.3 MB
 """
 
 from __future__ import annotations
@@ -149,9 +143,9 @@ def _minimum(planes, tied):
 
 
 def _smallest_tied_mask(edges, pats, tied) -> int:
-    """The tied mask (a bit of tied) with the largest negative-edge
-    indicator, so the smallest sorted negative edge list: edge by edge,
-    keep the masks under which the edge is negative whenever any does.
+    """The tied mask (a bit of tied) with the smallest negative_edges
+    list: edge by edge, keep the masks under which the edge is negative
+    whenever any does.
     pats[w] has bit x set when mask x switches vertex w."""
     for u, v, s in edges:
         if not tied & (tied - 1):
@@ -163,14 +157,12 @@ def _smallest_tied_mask(edges, pats, tied) -> int:
     return (tied & -tied).bit_length() - 1
 
 
-def _indicator(edges, mask) -> int:
-    """The negative edges after switching mask, as an int whose most
-    significant of m bits is the first edge."""
+def negative_edges(edges, mask) -> list:
+    """The (u, v) of the edges (u, v, sign) that switching mask leaves
+    negative, in edge order. Bit w - 1 of mask switches vertex w."""
     side = mask << 1  # bit w is vertex w; vertex 0 is never switched
-    out = 0
-    for u, v, sign in edges:
-        out = out << 1 | ((sign < 0) ^ (side >> u & 1) ^ (side >> v & 1))
-    return out
+    # an edge is negative after the switch when its sign is, unless it is cut
+    return [(u, v) for u, v, s in edges if (s < 0) ^ (side >> u ^ side >> v) & 1]
 
 
 def frustration_scan(n, edges):
@@ -183,7 +175,7 @@ def frustration_scan(n, edges):
     Masks are counted and picked from in blocks of the low _BLOCK_BITS
     bits, where an edge from u below to t above is an edge 0-u whose
     sign flips when t is switched. Of the blocks' winners at the
-    minimum, the one with the largest negative-edge indicator wins, the
+    minimum, the one with the smallest negative_edges list wins, the
     first on a tie.
     """
     n_bits = n - 1
@@ -223,6 +215,6 @@ def frustration_scan(n, edges):
         mask = _smallest_tied_mask(edges, top, tied) | block << low
         if best is None or count < best:
             best, pick = count, mask
-        elif _indicator(edges, mask) > _indicator(edges, pick):
+        elif negative_edges(edges, mask) < negative_edges(edges, pick):
             pick = mask
     return best, pick

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, StrategyError
-from .graph import SignedGraph, graph_to_json, negate_signature
+from .graph import SignedGraph, _vertex, graph_to_json, negate_signature
 
 MODE_ID = "ID"
 MODE_RID = "rID"
@@ -47,24 +47,25 @@ _ZERO = int(Label.ZERO)
 _A = int(Label.A)
 _NEG_A = int(Label.NEG_A)
 _CONFUSED = int(Label.CONFUSED)
-_LABEL_STR = {Label.ZERO: "0", Label.A: "A", Label.NEG_A: "-A", Label.CONFUSED: "C"}
-_STR_LABEL = {s: l for l, s in _LABEL_STR.items()}
-# label code -> its string, for whole snapshots at once
-_LABEL_STRS = np.array([_LABEL_STR[Label(code)] for code in range(len(Label))], dtype=object)
-# label code -> its JSON token, for snapshots written from their bytes
-_LABEL_TOKENS = tuple(json.dumps(text) for text in _LABEL_STRS)
+# label code -> its text, and its JSON token for snapshots written from their bytes
+_LABEL_TEXT = ("0", "A", "-A", "C")
+_LABEL_TOKENS = tuple(map(json.dumps, _LABEL_TEXT))
 # vertices per snapshot chunk that _dumps_trace encodes once and reuses
 _SNAPSHOT_CHUNK = 64
 
 
 def label_to_str(label) -> str:
-    return _LABEL_STR[Label(int(label))]
+    """The text of a Label or of a value equal to a label code 0..3."""
+    try:
+        return _LABEL_TEXT[Label(label)]
+    except ValueError:
+        raise InputError(f"unknown label code {label!r}, expected one of 0..3") from None
 
 
 def str_to_label(text: str) -> Label:
     try:
-        return _STR_LABEL[text]
-    except KeyError:
+        return Label(_LABEL_TEXT.index(text))
+    except ValueError:
         raise InputError(f"unknown label {text!r}, expected one of 0, A, -A, C") from None
 
 
@@ -139,18 +140,18 @@ class StepContext:
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
         """labels after placing info on the Zero vertex `vertex` and one
         round, as a read-only int8 view of bytes. labels of any other
-        integer dtype are read as int8 label codes. A vertex out of range,
-        or an info other than A or -A, raises InputError; the labels
-        themselves, and whether the vertex is Zero, go unchecked here,
-        since engine.step checks them before it calls this."""
-        if not 0 <= vertex < self.graph.n:
-            raise InputError(f"vertex {vertex!r} out of range")
+        integer dtype are read as int8 label codes. A vertex that
+        graph._vertex refuses, or an info other than A or -A, raises
+        InputError; the labels themselves, and whether the vertex is
+        Zero, go unchecked here, since engine.step checks them before it
+        calls this."""
+        vertex = _vertex(vertex, self.graph.n, "vertex")
         if info != _A and info != _NEG_A:
             raise InputError(f"placed value must be A or -A, got {info!r}")
         labels = np.asarray(labels, dtype=np.int8)
         senders = np.flatnonzero((labels == _A) | (labels == _NEG_A)).tolist()
         buf = bytearray(labels.tobytes())
-        buf[vertex] = info
+        buf[vertex] = int(info)
         heard = _heard(self.graph._adj, buf, senders + [vertex])
         for w, bits in heard.items():
             buf[w] = bits  # the hearing bits are the label codes A, -A, C
@@ -321,13 +322,10 @@ def _at(idx: int | None) -> str:
 def _check_placement(g: SignedGraph, labels, p: Placement,
                      mode: str | None = None, idx: int | None = None) -> Placement:
     """p, once checked legal on labels (and in mode), with its vertex a
-    Python int and its value a Label. The vertex may be any integer but
-    a bool."""
+    Python int (graph._vertex) and its value a Label."""
     if not isinstance(p, Placement):
         raise InputError(f"{_at(idx)}strategy entry {p!r} is not a Placement")
-    v = p.vertex
-    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < g.n):
-        raise InputError(f"{_at(idx)}placement vertex {v!r} out of range")
+    v = _vertex(p.vertex, g.n, f"{_at(idx)}placement vertex")
     try:
         info = Label(p.info)
     except ValueError:
@@ -338,7 +336,7 @@ def _check_placement(g: SignedGraph, labels, p: Placement,
         raise StrategyError(f"{_at(idx)}placement value must be A or -A, got {info!r}", step=idx)
     if labels[v] != _ZERO:
         raise StrategyError(f"{_at(idx)}vertex {v} is not Zero", step=idx)
-    return p if type(v) is int and p.info is info else Placement(int(v), info)
+    return p if v is p.vertex and p.info is info else Placement(v, info)
 
 
 def step(g: SignedGraph, state: np.ndarray, placement: Placement) -> np.ndarray:
@@ -476,7 +474,7 @@ def trace_to_json(trace: Trace) -> dict:
         "graph": graph_to_json(trace.graph),
         "mode": trace.strategy.mode,
         "placements": strategy_to_json(trace.strategy),
-        "snapshots": [_LABEL_STRS[snap].tolist() for snap in trace.snapshots],
+        "snapshots": [[_LABEL_TEXT[b] for b in snap.tobytes()] for snap in trace.snapshots],
         "confused": list(trace.confused()),
         "complete": trace.complete,
     }

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, islice, repeat
-from operator import add, eq, gt, itemgetter, lt, mul
+from operator import add, eq, gt, index, itemgetter, lt, mul
 from typing import Iterable, Optional
 
 from . import _kernels
@@ -237,12 +237,22 @@ def _edge_triples(raw: list) -> list:
     return edges
 
 
+def _vertex(v, n: int, what: str) -> int:
+    """v as a Python int, when it is an integer (a Python or numpy
+    integer, not a bool) in 0..n-1; otherwise InputError "{what} {v!r}
+    out of range". The one vertex rule of switch, placements and
+    StepContext.step."""
+    try:
+        if not isinstance(v, bool) and 0 <= (i := index(v)) < n:
+            return i
+    except TypeError:
+        pass
+    raise InputError(f"{what} {v!r} out of range")
+
+
 def switch(g: SignedGraph, members: Iterable[int]) -> SignedGraph:
     """Flip the sign of every edge with exactly one end in `members`."""
-    x = frozenset(members)
-    for v in x:
-        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < g.n):
-            raise InputError(f"switch set member {v!r} out of range")
+    x = frozenset([_vertex(v, g.n, "switch set member") for v in members])
     flipped = [
         (u, v, -s if ((u in x) != (v in x)) else s) for u, v, s in g.edges
     ]
@@ -354,11 +364,7 @@ def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     if g.m == 0:
         return 0, frozenset()
     best, mask = _kernels.frustration_scan(g.n, g.edges)
-    if best == 0:
-        return 0, frozenset()
-    side = mask << 1  # bit w is vertex w
-    # an edge is negative after the switch when its sign is, unless it is cut
-    return best, frozenset((u, v) for u, v, s in g.edges if (s < 0) ^ (side >> u ^ side >> v) & 1)
+    return best, frozenset(_kernels.negative_edges(g.edges, mask))
 
 
 def realize_min_signature(g: SignedGraph, e_set: Iterable[tuple]) -> SignedGraph:

@@ -62,6 +62,10 @@ from operator import or_
 import numpy as np
 
 from .engine import (
+    _A,
+    _CONFUSED,
+    _NEG_A,
+    _ZERO,
     MODE_ID,
     MODE_RID,
     Label,
@@ -79,10 +83,6 @@ EXACT_MAX_N = 15
 CLASS_MAX_N = 12
 ORACLE_MAX_N = 8
 
-_CONFUSED = int(Label.CONFUSED)
-_ZERO = int(Label.ZERO)
-_A = int(Label.A)
-_NEG_A = int(Label.NEG_A)
 # label under the global negation A <-> -A
 _NEGATED = np.array([_ZERO, _NEG_A, _A, _CONFUSED], dtype=np.int8)
 # base-4 digits per float64 word of an orbit key: 4**26 <= 2**52, so

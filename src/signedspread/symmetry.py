@@ -38,11 +38,10 @@ asked before each candidate leaf. Any stop only loses elements: any set
 of automorphisms keys a memo soundly, a smaller one merges fewer states.
 A round costs O(n + m) numpy work, and refinement stops without a round
 once the partition is discrete, since a discrete partition is already
-equitable (52 rounds instead of 57 for gst(12,3)). A round measured
-11-14 us on gst(14,3) (m = 126) and 100-120 us on gn(200) (m = 10,000,
-10,196 rounds, 1.5 s) on a 2-core Xeon VM, so a run to the round cap on
-a dense graph of 200 vertices takes seconds; only the deadline bounds it
-tighter.
+equitable. A round measured 11-14 us on gst(14,3) (m = 126) and
+100-120 us on gn(200) (m = 10,000, 10,196 rounds, 1.5 s) on a 2-core
+Xeon VM, so a run to the round cap on a dense graph of 200 vertices
+takes seconds; only the deadline bounds it tighter.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from signedspread.engine import (
     StepContext,
     Strategy,
     Trace,
+    _LABEL_TEXT,
     _dumps_trace,
     label_to_str,
     levels,
@@ -26,7 +27,7 @@ from signedspread.engine import (
 )
 from signedspread.errors import InputError, StrategyError
 from signedspread.families import gen_cycle, gen_gn, gen_gst, gen_path, gen_random_connected
-from signedspread.graph import SignedGraph, negate_signature
+from signedspread.graph import SignedGraph, negate_signature, switch
 from signedspread.solver import exact_relaxed_confusion
 
 from plain_search import assert_trace_matches_reference, pending_signals, reference_run
@@ -39,8 +40,12 @@ def test_label_negation_and_strings():
     assert Label.CONFUSED.negated() is Label.CONFUSED
     for lab in Label:
         assert str_to_label(label_to_str(lab)) is lab
-    with pytest.raises(InputError):
-        str_to_label("B")
+    for text in ("B", ["A"], None, 1):
+        with pytest.raises(InputError, match="unknown label"):
+            str_to_label(text)
+    for code in (7, "A", 1.5, None):
+        with pytest.raises(InputError, match="unknown label code"):
+            label_to_str(code)
 
 
 def test_single_step_transmission_signs():
@@ -138,13 +143,61 @@ def test_run_accepts_numpy_integer_vertices(vertex):
             run(g, Strategy("ID", [Placement(flag, Label.A)]))
 
 
-@pytest.mark.parametrize("vertex, info", [(-1, 1), (4, 1), (0, 0), (0, 3), (0, 7)])
+@pytest.mark.parametrize("vertex, info", [(-1, 1), (4, 1), (0, 0), (0, 3), (0, 7),
+                                          (1.5, 1), ("1", 1), (True, 1)])
 def test_step_context_checks_vertex_and_value(vertex, info):
     # a bare IndexError, or a label no run can hold, before these checks
     g = gen_path(4)
     ctx = StepContext(g)
     with pytest.raises(InputError):
         ctx.step(ctx.zeros_state(), vertex, info)
+
+
+def test_step_context_stores_the_value_as_a_code():
+    # 1.0 passes as A, as Label(1.0) does in a placement
+    ctx = StepContext(gen_path(4))
+    z = ctx.zeros_state()
+    assert ctx.step(z, 0, 1.0).tolist() == ctx.step(z, 0, 1).tolist() == [1, 1, 0, 0]
+
+
+# None, bools, numpy bools, ints, numpy ints, floats, strings, lists, dicts
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-3, 6), st.integers(-3, 6).map(np.int64), st.integers(0, 6).map(np.uint8),
+    st.floats(allow_nan=True), st.text(max_size=3), st.sampled_from(list(_LABEL_TEXT)),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+def _outcome(call, *args):
+    """True when call(*args) returns, False when it raises InputError or
+    StrategyError; any other exception fails the test."""
+    try:
+        call(*args)
+    except (InputError, StrategyError):
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_VALUE)
+def test_readers_raise_only_input_errors(x):
+    g = gen_path(4)
+    ctx = StepContext(g)
+    z = ctx.zeros_state()
+    _outcome(str_to_label, x)
+    _outcome(label_to_str, x)
+    _outcome(lambda: run(g, strategy_from_json(MODE_RID, [{"vertex": 0, "info": x}])))
+    _outcome(step, g, z, Placement(0, x))
+    _outcome(ctx.step, z, 0, x)
+    # the one vertex rule: every reader of a vertex takes the same values
+    accepted = {
+        _outcome(lambda: run(g, strategy_from_json(MODE_ID, [{"vertex": x, "info": "A"}]))),
+        _outcome(step, g, z, Placement(x, Label.A)),
+        _outcome(ctx.step, z, x, 1),
+        _outcome(switch, g, [x]),
+    }
+    assert len(accepted) == 1
 
 
 def draw_prefix(draw, g, relaxed):
@@ -326,6 +379,8 @@ def test_strategy_json_roundtrip():
     assert strategy_from_json(MODE_RID, payload) == s
     with pytest.raises(InputError):
         strategy_from_json(MODE_ID, [{"vertex": 0}])
+    with pytest.raises(InputError, match="unknown label"):
+        strategy_from_json(MODE_ID, [{"vertex": 0, "info": ["A"]}])
 
 
 def test_trace_json_fields():

@@ -272,6 +272,8 @@ def test_switch_rejects_out_of_range():
         switch(g, {5})
     with pytest.raises(InputError):
         switch(g, [True])
+    # numpy integers are vertices, as in placements
+    assert switch(g, np.array([1])) == switch(g, [1])
 
 
 def test_balance_basics():
