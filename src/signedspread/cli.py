@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import __version__
 from .engine import (
@@ -277,8 +278,7 @@ def _cmd_balance(args) -> tuple:
 
 def _cmd_frustration(args) -> tuple:
     g = _read_graph(args.path)
-    max_n = args.max_n if args.max_n is not None else FRUSTRATION_MAX_N
-    value, witness = frustration_index(g, max_n=max_n)
+    value, witness = frustration_index(g, max_n=args.max_n)
     payload = {
         "schema": 1,
         "frustration": value,
@@ -316,7 +316,8 @@ def _cmd_verify(args) -> tuple:
     budget = _budget_from(args)
     claim_ids = args.claim if args.claim else None
     results = run_suite(budget=budget, claim_ids=claim_ids)
-    code = EXIT_VERIFY if any(r.status == "fail" for r in results) else EXIT_OK
+    counts = Counter(r.status for r in results)
+    code = EXIT_VERIFY if counts["fail"] else EXIT_OK
     if args.json:
         return code, json.dumps({"schema": 1, "results": [r.to_json() for r in results]})
     lines = []
@@ -326,15 +327,7 @@ def _cmd_verify(args) -> tuple:
         if r.detail:
             line += f" ({r.detail})"
         lines.append(line)
-    counts = {
-        "pass": sum(r.status == "pass" for r in results),
-        "fail": sum(r.status == "fail" for r in results),
-        "skipped": sum(r.status == "skipped" for r in results),
-    }
-    lines.append(
-        f"{counts['pass']} passed, {counts['fail']} failed, "
-        f"{counts['skipped']} skipped"
-    )
+    lines.append(f"{counts['pass']} passed, {counts['fail']} failed, {counts['skipped']} skipped")
     return code, "\n".join(lines)
 
 
@@ -430,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--realize", action="store_true",
                    help="also emit an equivalent signature with that negative set")
-    p.add_argument("--max-n", type=int, default=None, help="override the size cap")
+    p.add_argument("--max-n", type=int, default=FRUSTRATION_MAX_N, help="override the size cap")
     _add_output(p)
     p.set_defaults(func=_cmd_frustration)
 

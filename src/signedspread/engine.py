@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -36,17 +35,15 @@ class Label(IntEnum):
     CONFUSED = 3
 
     def negated(self) -> "Label":
-        if self is Label.A:
-            return Label.NEG_A
-        if self is Label.NEG_A:
-            return Label.A
-        return self
+        return Label(int(_NEGATED[self]))
 
 
 _ZERO = int(Label.ZERO)
 _A = int(Label.A)
 _NEG_A = int(Label.NEG_A)
 _CONFUSED = int(Label.CONFUSED)
+# label code -> its code under the global negation A <-> -A
+_NEGATED = np.array([_ZERO, _NEG_A, _A, _CONFUSED], dtype=np.int8)
 # label code -> its text, and its JSON token for snapshots written from their bytes
 _LABEL_TEXT = ("0", "A", "-A", "C")
 _LABEL_TOKENS = tuple(map(json.dumps, _LABEL_TEXT))
@@ -440,9 +437,7 @@ def mirror_trace(trace: Trace) -> Trace:
         Placement(p.vertex, Label(p.info).negated() if odd[p.vertex] else Label(p.info))
         for p in trace.strategy.placements
     )
-    final = trace.final.copy()
-    final[odd & (trace.final == _A)] = _NEG_A
-    final[odd & (trace.final == _NEG_A)] = _A
+    final = np.where(odd, _NEGATED[trace.final], trace.final)
     snapshots = _RunSnapshots(_freeze(final), trace.when, len(trace.snapshots))
     return Trace(negate_signature(trace.graph), Strategy(MODE_RID, placements), snapshots, True)
 
@@ -453,7 +448,9 @@ def strategy_to_json(strategy: Strategy) -> list:
     ]
 
 
-def strategy_from_json(mode: str, payload: Iterable[dict]) -> Strategy:
+def strategy_from_json(mode: str, payload: list) -> Strategy:
+    if not isinstance(payload, list):
+        raise InputError(f"placements must be a list, got {payload!r}")
     placements = []
     for item in payload:
         try:

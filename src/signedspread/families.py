@@ -97,20 +97,15 @@ def check_gst_member(g: SignedGraph, s: int, t: int) -> bool:
     the positive edges form a perfect matching."""
     if s < 3 or t < 3 or g.n != s * t or g.m != s * t * t:
         return False
-    for i in range(s):
-        nxt = (i + 1) % s
-        neg = np.zeros((t, t), dtype=bool)
-        for j in range(t):
-            for j2 in range(t):
-                u, v = i * t + j, nxt * t + j2
-                if not g.has_edge(u, v):
-                    return False
-                neg[j, j2] = g.sign_of(u, v) < 0
-        counts = neg.sum(axis=0)
-        rows = neg.sum(axis=1)
-        matching_neg = (counts == 1).all() and (rows == 1).all()
-        matching_pos = (counts == t - 1).all() and (rows == t - 1).all()
-        if not (matching_neg or matching_pos):
+    layers = [range(i * t, (i + 1) * t) for i in range(s)]
+    for layer, nxt in zip(layers, layers[1:] + layers[:1]):
+        if not all(g.has_edge(u, v) for u in layer for v in nxt):
+            return False
+        neg = [[g.sign_of(u, v) < 0 for v in nxt] for u in layer]
+        # row and column sums of the negative-edge indicator: all 1 for
+        # a negative matching, all t - 1 for a positive one
+        sums = {*map(sum, neg), *map(sum, zip(*neg))}
+        if sums != {1} and sums != {t - 1}:
             return False
     return True
 

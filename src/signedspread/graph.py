@@ -11,6 +11,7 @@ negating every sign makes it balanced.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,10 +126,6 @@ class SignedGraph:
         return len(self.edges)
 
     @cached_property
-    def _sign_map(self) -> dict:
-        return {(u, v): s for u, v, s in self.edges}
-
-    @cached_property
     def _adj(self) -> tuple:
         adj = [[] for _ in range(self.n)]
         for u, v, s in self.edges:
@@ -138,18 +135,20 @@ class SignedGraph:
             row.sort()
         return tuple(map(tuple, adj))
 
+    def _sign(self, u: int, v: int) -> int:
+        """The sign of edge u-v from v's entry in the sorted row _adj[u];
+        0 when there is no such edge, an end outside 0..n-1 included."""
+        row = self._adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(row, (v,))
+        return row[i][1] if i < len(row) and row[i][0] == v else 0
+
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._sign_map
+        return self._sign(u, v) != 0
 
     def sign_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        try:
-            return self._sign_map[(u, v)]
-        except KeyError:
-            raise InputError(f"no edge {u}-{v}") from None
+        if not (sign := self._sign(u, v)):
+            raise InputError(f"no edge {min(u, v)}-{max(u, v)}")
+        return sign
 
     def neighbors(self, v: int) -> tuple:
         return tuple(w for w, _ in self._adj[v])
@@ -250,6 +249,14 @@ def _vertex(v, n: int, what: str) -> int:
     raise InputError(f"{what} {v!r} out of range")
 
 
+def _size_cap(cap: int) -> int:
+    """cap, the size cap of an exhaustive routine; InputError when it is
+    negative. The one cap rule of Budget and the capped routines."""
+    if cap < 0:
+        raise InputError(f"size cap must be nonnegative, got {cap}")
+    return cap
+
+
 def switch(g: SignedGraph, members: Iterable[int]) -> SignedGraph:
     """Flip the sign of every edge with exactly one end in `members`."""
     x = frozenset([_vertex(v, g.n, "switch set member") for v in members])
@@ -307,7 +314,7 @@ def equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[SwitchSet]:
         raise InputError("graphs differ in vertices or underlying edges")
     product = SignedGraph(
         g1.n,
-        tuple((u, v, s1 * g2.sign_of(u, v)) for u, v, s1 in g1.edges),
+        tuple((u, v, s1 * s2) for (u, v, s1), (_, _, s2) in zip(g1.edges, g2.edges)),
     )
     part = is_balanced(product)
     if part is None:
@@ -323,7 +330,7 @@ def negative_cycles(g: SignedGraph, max_n: int = NEGATIVE_CYCLES_MAX_N) -> Cycle
     Canonical form: start at the circuit's smallest vertex and take the
     lexicographically smaller of the two traversal directions.
     """
-    if g.n > max_n:
+    if g.n > _size_cap(max_n):
         raise CapacityError(f"negative_cycles capped at n <= {max_n}, got {g.n}")
     out = set()
 
@@ -356,9 +363,7 @@ def frustration_index(g: SignedGraph, max_n: int = FRUSTRATION_MAX_N):
     FRUSTRATION_SCAN_MAX_N, before the scan starts, and
     InputError for a negative max_n.
     """
-    if max_n < 0:
-        raise InputError(f"size cap must be nonnegative, got {max_n}")
-    cap = min(max_n, FRUSTRATION_SCAN_MAX_N)
+    cap = min(_size_cap(max_n), FRUSTRATION_SCAN_MAX_N)
     if g.n > cap:
         raise CapacityError(f"frustration_index capped at n <= {cap}, got {g.n}")
     if g.m == 0:
@@ -374,9 +379,12 @@ def realize_min_signature(g: SignedGraph, e_set: Iterable[tuple]) -> SignedGraph
     size equals the frustration index, the negative edges of the result
     are exactly `e_set`.
     """
+    try:
+        pairs = [(index(u), index(v)) for u, v in e_set]
+    except (TypeError, ValueError):
+        raise InputError(f"edge set must hold (u, v) pairs of integers, got {e_set!r}") from None
     wanted = set()
-    for pair in e_set:
-        u, v = pair
+    for u, v in pairs:
         if u > v:
             u, v = v, u
         if not g.has_edge(u, v):
@@ -395,7 +403,7 @@ def min_deletion_balancing(g: SignedGraph, max_edges: int = 14):
     Exponential in the edge count; intended as an independent cross-check
     for frustration_index on small graphs.
     """
-    if g.m > max_edges:
+    if g.m > _size_cap(max_edges):
         raise CapacityError(f"deletion enumeration capped at m <= {max_edges}")
     for k in range(g.m + 1):
         for combo in combinations(range(g.m), k):

@@ -65,6 +65,7 @@ from .engine import (
     _A,
     _CONFUSED,
     _NEG_A,
+    _NEGATED,
     _ZERO,
     MODE_ID,
     MODE_RID,
@@ -75,7 +76,7 @@ from .engine import (
     strategy_to_json,
 )
 from .errors import BudgetExceeded, CapacityError, InputError
-from .graph import SignedGraph, switch
+from .graph import SignedGraph, _size_cap, switch
 from .strategies import rescue_priority
 from .symmetry import automorphisms
 
@@ -83,8 +84,6 @@ EXACT_MAX_N = 15
 CLASS_MAX_N = 12
 ORACLE_MAX_N = 8
 
-# label under the global negation A <-> -A
-_NEGATED = np.array([_ZERO, _NEG_A, _A, _CONFUSED], dtype=np.int8)
 # base-4 digits per float64 word of an orbit key: 4**26 <= 2**52, so
 # every packed word and every partial sum of one is exact
 _DIGITS = 26
@@ -103,8 +102,8 @@ class Budget:
             raise InputError(f"node budget must be nonnegative, got {self.nodes}")
         if self.seconds is not None and not self.seconds >= 0:  # also rejects NaN
             raise InputError(f"time budget must be nonnegative, got {self.seconds}")
-        if self.max_n is not None and self.max_n < 0:
-            raise InputError(f"size cap must be nonnegative, got {self.max_n}")
+        if self.max_n is not None:
+            _size_cap(self.max_n)
 
     def cap(self, default: int) -> int:
         return default if self.max_n is None else self.max_n
@@ -483,7 +482,7 @@ def brute_oracle(g: SignedGraph, mode: str = MODE_ID, max_n: int = ORACLE_MAX_N)
     in relaxed mode every value sequence, with no memo and no pruning."""
     if mode not in (MODE_ID, MODE_RID):
         raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
-    if g.n > max_n:
+    if g.n > _size_cap(max_n):
         raise CapacityError(f"brute_oracle capped at n <= {max_n}, got {g.n}")
     ctx = StepContext(g)
     infos = (_A, _NEG_A) if mode == MODE_RID else (_A,)

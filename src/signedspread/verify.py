@@ -33,6 +33,7 @@ from .families import (
 from .graph import (
     FRUSTRATION_MAX_N,
     SignedGraph,
+    _size_cap,
     frustration_index,
     graph_to_json,
     is_antibalanced,
@@ -540,7 +541,7 @@ def burning_number_brute(g: SignedGraph, max_n: int = 18) -> int:
     k-1, k-2, ..., 0 whose balls cover the vertex set. Requiring each
     center to enlarge the covered set is lossless: while uncovered
     vertices exist, centering on one adds it at any radius."""
-    if g.n > max_n:
+    if g.n > _size_cap(max_n):
         raise CapacityError(f"burning_number_brute capped at n <= {max_n}, got {g.n}")
     if g.n == 0:
         return 0

@@ -253,6 +253,16 @@ def test_verify_exit_codes():
     assert run_cli("verify", "--claim", "nonsense").returncode == 1
 
 
+@pytest.mark.parametrize("argv, summary", [
+    (["--claim", "c5_allneg", "--claim", "gn_balance"], "2 passed, 0 failed, 0 skipped"),
+    (["--claim", "c5_allneg", "--budget-nodes", "0"], "0 passed, 0 failed, 1 skipped"),
+])
+def test_verify_text_ends_with_its_tally(monkeypatch, capsys, argv, summary):
+    got = run_main(monkeypatch, capsys, ["verify", *argv], "")
+    assert got["code"] == 0 and got["stderr"] == ""
+    assert got["stdout"].endswith(f"\n{summary}\n")
+
+
 def test_explore_conjecture_finds_violations():
     proc = run_cli(
         "explore-conjecture", "conj1",

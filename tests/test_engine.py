@@ -3,7 +3,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signedspread.engine import (
     MODE_ID,
@@ -181,10 +181,16 @@ def _outcome(call, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(_ANY_VALUE)
+@example(None)
+@example(5)
+@example({"vertex": 0, "info": "A"})
+@example("A")
 def test_readers_raise_only_input_errors(x):
     g = gen_path(4)
     ctx = StepContext(g)
     z = ctx.zeros_state()
+    # placements come as a list, and nothing else is read as one
+    assert _outcome(strategy_from_json, MODE_ID, x) == (type(x) is list and not x)
     _outcome(str_to_label, x)
     _outcome(label_to_str, x)
     _outcome(lambda: run(g, strategy_from_json(MODE_RID, [{"vertex": 0, "info": x}])))
@@ -381,6 +387,11 @@ def test_strategy_json_roundtrip():
         strategy_from_json(MODE_ID, [{"vertex": 0}])
     with pytest.raises(InputError, match="unknown label"):
         strategy_from_json(MODE_ID, [{"vertex": 0, "info": ["A"]}])
+    # a dict payload is not read as the list of its keys
+    with pytest.raises(InputError, match="^placements must be a list, got {'vertex': 0, 'info': 'A'}$"):
+        strategy_from_json(MODE_ID, {"vertex": 0, "info": "A"})
+    with pytest.raises(InputError, match="^placements must be a list, got None$"):
+        strategy_from_json(MODE_ID, None)
 
 
 def test_trace_json_fields():

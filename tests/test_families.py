@@ -14,7 +14,7 @@ from signedspread.families import (
     gen_random_connected,
     gen_random_tree,
 )
-from signedspread.graph import is_antibalanced, is_balanced, negate_signature
+from signedspread.graph import SignedGraph, is_antibalanced, is_balanced, negate_signature
 
 
 def test_gen_gn_structure():
@@ -55,12 +55,26 @@ def test_gen_gst_structure():
     assert check_gst_member(mixed, 4, 3)
     assert mixed != g
     assert not check_gst_member(gen_ktt_tau(3), 3, 3)
+    assert not check_gst_member(g, 4, 4) and not check_gst_member(g, 3, 3)
     with pytest.raises(InputError):
         gen_gst(2, 3)
     with pytest.raises(InputError):
         gen_gst(3, 2)
     with pytest.raises(InputError):
         gen_gst(3, 3, (True,))  # wrong flag count
+
+
+@pytest.mark.parametrize("flags", [(True,) * 4, (True, False, True, False)])
+def test_check_gst_member_refuses_non_members_of_the_right_size(flags):
+    g = gen_gst(4, 3, flags)
+    edges = list(g.edges)
+    # one sign flipped inside the layer pair (U_0, U_1)
+    u, v, s = edges[0]
+    flipped = SignedGraph.from_edge_list(g.n, [(u, v, -s), *edges[1:]])
+    assert flipped.m == g.m and not check_gst_member(flipped, 4, 3)
+    # the edge 0-3 moved inside layer U_0, so m is still s * t^2
+    moved = SignedGraph.from_edge_list(g.n, [(0, 1, 1), *(e for e in edges if e[:2] != (0, 3))])
+    assert moved.m == g.m and not check_gst_member(moved, 4, 3)
 
 
 def test_gen_cycle_and_path():

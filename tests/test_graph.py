@@ -32,6 +32,8 @@ from signedspread.graph import (
     realize_min_signature,
     switch,
 )
+from signedspread.solver import brute_oracle
+from signedspread.verify import burning_number_brute
 
 from frustration_table import edge_shift_arrays, table_frustration, table_scan
 from plain_search import (
@@ -118,6 +120,22 @@ def test_sign_of_missing_edge():
     g = SignedGraph.from_edge_list(3, [(0, 1, 1)])
     with pytest.raises(InputError):
         g.sign_of(0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_graphs(max_n=9))
+def test_edge_queries_match_the_edge_list(g):
+    signs = {(u, v): s for u, v, s in g.edges}
+    # both orders of every pair, u == v, and ends outside 0..n-1
+    for u in range(-2, g.n + 2):
+        for v in range(-2, g.n + 2):
+            sign = signs.get((min(u, v), max(u, v)))
+            assert g.has_edge(u, v) is (sign is not None)
+            if sign is not None:
+                assert g.sign_of(u, v) == sign
+            else:
+                with pytest.raises(InputError, match=f"^no edge {min(u, v)}-{max(u, v)}$"):
+                    g.sign_of(u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,9 +548,18 @@ def test_frustration_cap():
         frustration_index(gen_random_connected(2, 9), max_n=8)
 
 
-def test_frustration_refuses_a_negative_cap():
-    with pytest.raises(InputError, match="^size cap must be nonnegative, got -5$"):
-        frustration_index(gen_path(3), max_n=-5)
+@pytest.mark.parametrize("routine, cap", [
+    (negative_cycles, "max_n"),
+    (frustration_index, "max_n"),
+    (min_deletion_balancing, "max_edges"),
+    (brute_oracle, "max_n"),
+    (burning_number_brute, "max_n"),
+])
+def test_capped_routines_refuse_a_negative_cap(routine, cap):
+    # the same refusal everywhere, on the empty graph too
+    for g in (gen_path(3), SignedGraph.from_edge_list(0, [])):
+        with pytest.raises(InputError, match="^size cap must be nonnegative, got -1$"):
+            routine(g, **{cap: -1})
 
 
 @pytest.mark.parametrize("n", [FRUSTRATION_SCAN_MAX_N + 1, 40, 64])
@@ -606,9 +633,19 @@ def test_realize_min_signature():
     assert equivalent(g, realized) is not None
     with pytest.raises(InputError):
         realize_min_signature(g, [(0, 1)])  # not an edge (same side)
+    with pytest.raises(InputError, match="^edge 0-9 not in graph$"):
+        realize_min_signature(g, [(9, 0)])
     with pytest.raises(InputError):
         # deleting a single matching edge does not balance the rest
         realize_min_signature(g, [(0, 4)])
+    # numpy integers are integers
+    assert realize_min_signature(g, [(np.int64(a), np.int64(a + 4)) for a in range(4)]) == realized
+
+
+@pytest.mark.parametrize("e_set", [[(0,)], [(0, "a")], [(0, 4, 1)], [None], ["ab"], [(0, 4.0)], 5, None])
+def test_realize_min_signature_refuses_non_integer_pairs(e_set):
+    with pytest.raises(InputError, match="^edge set must hold \\(u, v\\) pairs of integers"):
+        realize_min_signature(gen_ktt_tau(4), e_set)
 
 
 def test_connected():
