@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 domain error (a named precondition failed),
 payload carries "schema": 1 and ends with a newline; diagnostics go to
 stderr only, so stdout stays pipeable. Each subcommand handler returns
 (exit code, text) and writes nothing; only main writes the text, to
-stdout or to -o FILE.
+stdout or to -o FILE. The argparse tree is built once per process
+(build_parser), so in-process callers of main pay only for parsing
+their own arguments.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 
 from . import __version__
 from .engine import (
@@ -369,7 +372,12 @@ def _add_budget(p):
     p.add_argument("--max-n", type=int, default=None, help="override the solver size cap")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every
+    later one. Building it reads no mutable state (prog is a literal,
+    the choices come from tables fixed at import), parse_args keeps
+    nothing between calls, and help is formatted when it is printed."""
     parser = argparse.ArgumentParser(
         prog="signedspread",
         description="Signed-graph information spread: simulate, solve, verify.",
@@ -464,9 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -47,7 +47,7 @@ _NEGATED = np.array([_ZERO, _NEG_A, _A, _CONFUSED], dtype=np.int8)
 # label code -> its text, and its JSON token for snapshots written from their bytes
 _LABEL_TEXT = ("0", "A", "-A", "C")
 _LABEL_TOKENS = tuple(map(json.dumps, _LABEL_TEXT))
-# vertices per snapshot chunk that _dumps_trace encodes once and reuses
+# vertices per snapshot chunk, the unit _dumps_trace joins again when one changes
 _SNAPSHOT_CHUNK = 64
 
 
@@ -242,17 +242,25 @@ class _RunSnapshots(Sequence):
         return _freeze(np.where(self.when <= i, self.final, np.int8(_ZERO)))
 
     def __iter__(self):
+        for labels, _ in self._steps():
+            yield np.frombuffer(bytes(labels), dtype=np.int8)
+
+    def _steps(self):
+        """(labels, informed) for each snapshot in order: one bytearray of
+        its label codes, stepped in place (copy it to keep it), and the
+        list of vertices it informed, which it labels as final does."""
         final = self.final.tobytes()
         order = np.argsort(self.when, kind="stable").tolist()
         # ends[i]: how many vertices snapshot i has informed
         ends = np.cumsum(np.bincount(self.when, minlength=self._count)).tolist()
-        buf = bytearray(len(final))
+        labels = bytearray(len(final))
         start = 0
         for i in range(self._count):
-            for v in order[start:ends[i]]:
-                buf[v] = final[v]
+            informed = order[start:ends[i]]
+            for v in informed:
+                labels[v] = final[v]
             start = ends[i]
-            yield np.frombuffer(bytes(buf), dtype=np.int8)
+            yield labels, informed
 
 
 class Trace:
@@ -462,8 +470,8 @@ def strategy_from_json(mode: str, payload: list) -> Strategy:
 
 def trace_to_json(trace: Trace) -> dict:
     """The trace as a JSON document. `simulate` writes its json.dumps
-    text, byte for byte, through `_dumps_trace`, which encodes snapshot
-    chunks once and reuses their text; the tests named
+    text, byte for byte, through `_dumps_trace`, which joins again only
+    the snapshot chunks that change; the tests named
     test_dumps_trace_* in tests/test_engine.py tie the two, across chunk
     boundaries too."""
     return {
@@ -477,24 +485,33 @@ def trace_to_json(trace: Trace) -> dict:
     }
 
 
+def _snapshot_changes(snapshots):
+    """(labels, changed) for each hand-built snapshot in order: its label
+    bytes and the vertices where it differs from the snapshot before it,
+    or from the all-Zero state before the first."""
+    before = None
+    for snap in snapshots:
+        changed = np.flatnonzero(snap if before is None else snap != before).tolist()
+        yield snap.tobytes(), changed
+        before = snap
+
+
 def _dumps_trace(trace: Trace) -> str:
     """json.dumps(trace_to_json(trace)), byte for byte, without a str per
     label. Each snapshot, one int8 label code per vertex, is cut into
-    _SNAPSHOT_CHUNK-vertex chunks of its bytes; a memo local to this call
-    maps each distinct chunk to its ", "-joined label tokens, and the
-    chunk texts go straight into the one list the document is joined
-    from.
+    _SNAPSHOT_CHUNK-vertex chunks of its bytes. One list, row, holds the
+    current snapshot's chunk texts (", "-joined label tokens) with their
+    separators; each snapshot goes into the one list the document is
+    joined from as "[" plus row, one list extend that runs in C.
 
-    A run informs each vertex once and never relabels it, so consecutive
-    snapshots differ only at the vertices the last round informed, and
-    each such vertex makes at most one new chunk. A trace of s snapshots
-    on n vertices then holds at most n + ceil(n/64) distinct chunks:
-    O(64 n) token work and s * ceil(n/64) dict lookups, against n * s
-    tokens when every snapshot is encoded whole. A run's snapshots come
-    from its iterator, each stepped from the one before. Every trace's
-    snapshots are int8, one byte per vertex; the bound holds for runs,
-    and on hand-built snapshots that differ everywhere every chunk is new
-    and the memo only adds work."""
+    Between snapshots only the chunks that hold a changed vertex are
+    joined again. A run's changed vertices are the ones each step
+    informed, from its when and final (_RunSnapshots._steps), so a step
+    that informs k vertices joins at most k chunks again; a hand-built
+    trace's snapshots are compared with the one before. A trace of s
+    snapshots on n vertices then costs ceil(n/64) chunk texts for the
+    all-Zero state, one 64-token join per changed chunk (at most n over
+    a run), and s extends of 2 ceil(n/64) list entries."""
     head = json.dumps({
         "schema": 1,
         "graph": graph_to_json(trace.graph),
@@ -503,23 +520,24 @@ def _dumps_trace(trace: Trace) -> str:
     })
     tail = json.dumps({"confused": list(trace.confused()), "complete": trace.complete})
     tok = _LABEL_TOKENS
+    size = _SNAPSHOT_CHUNK
     n = trace.graph.n
-    starts = range(0, n, _SNAPSHOT_CHUNK)
-    memo = {}
+    snaps = trace.snapshots
+    steps = snaps._steps() if isinstance(snaps, _RunSnapshots) else _snapshot_changes(snaps)
+    # row[2c] is chunk c's text and row[2c + 1] the separator after it;
+    # the last separator closes the snapshot (and is all of row when n = 0)
+    zero = tok[_ZERO]
+    row = []
+    for i in range(0, n, size):
+        row += (", ".join([zero] * min(size, n - i)), ", ")
+    row[-1:] = ["], "]
     parts = [head[:-1], ', "snapshots": [']
-    for snap in trace.snapshots:
-        raw = snap.tobytes()
+    for labels, changed in steps:
+        for c in {v // size for v in changed}:
+            i = c * size
+            row[2 * c] = ", ".join([tok[b] for b in labels[i:i + size]])
         parts.append("[")
-        for i in starts:
-            chunk = raw[i:i + _SNAPSHOT_CHUNK]
-            text = memo.get(chunk)
-            if text is None:
-                text = memo[chunk] = ", ".join([tok[b] for b in chunk])
-            parts += (text, ", ")
-        if n:
-            parts[-1] = "], "  # the last chunk's separator closes the snapshot
-        else:
-            parts.append("], ")
+        parts += row
     parts[-1] = "]], "  # the last snapshot closes the list
     parts.append(tail[1:])
     return "".join(parts)

@@ -236,13 +236,20 @@ def _edge_triples(raw: list) -> list:
     return edges
 
 
+def _integer(x) -> int:
+    """x as a Python int, when it is a Python or numpy integer and not a
+    bool; otherwise TypeError. The one integer rule of vertex ids."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return index(x)
+
+
 def _vertex(v, n: int, what: str) -> int:
-    """v as a Python int, when it is an integer (a Python or numpy
-    integer, not a bool) in 0..n-1; otherwise InputError "{what} {v!r}
-    out of range". The one vertex rule of switch, placements and
-    StepContext.step."""
+    """v as a Python int, when it is an integer (_integer) in 0..n-1;
+    otherwise InputError "{what} {v!r} out of range". The one vertex
+    rule of switch, placements and StepContext.step."""
     try:
-        if not isinstance(v, bool) and 0 <= (i := index(v)) < n:
+        if 0 <= (i := _integer(v)) < n:
             return i
     except TypeError:
         pass
@@ -380,7 +387,7 @@ def realize_min_signature(g: SignedGraph, e_set: Iterable[tuple]) -> SignedGraph
     are exactly `e_set`.
     """
     try:
-        pairs = [(index(u), index(v)) for u, v in e_set]
+        pairs = [(_integer(u), _integer(v)) for u, v in e_set]
     except (TypeError, ValueError):
         raise InputError(f"edge set must hold (u, v) pairs of integers, got {e_set!r}") from None
     wanted = set()

@@ -2,8 +2,8 @@
 
 Most tests shell out to a fresh interpreter, so these double as an
 install smoke test and as the contract for scripting against the tool.
-The frozen `solve` and `simulate` tables and the stdin decoding test
-call cli.main in process.
+The frozen `solve` and `simulate` tables, the stdin decoding test and
+the parser reuse test call cli.main in process.
 """
 
 import io
@@ -384,6 +384,11 @@ def solve_cases():
                 yield spec.label(), ["solve", *flags], text
 
 
+def mask_millis(out):
+    """out with every millis value, a timing, replaced by null."""
+    return re.sub(r'"millis": [^,}]+', '"millis": null', out)
+
+
 def run_main(monkeypatch, capsys, argv, stdin):
     """cli.main(argv) in process on stdin: its exit code, stdout with
     every millis value masked, and stderr."""
@@ -391,8 +396,7 @@ def run_main(monkeypatch, capsys, argv, stdin):
                         else io.StringIO(stdin))
     code = cli.main(argv)
     out, err = capsys.readouterr()
-    return {"code": code, "stdout": re.sub(r'"millis": [^,}]+', '"millis": null', out),
-            "stderr": err}
+    return {"code": code, "stdout": mask_millis(out), "stderr": err}
 
 
 def assert_frozen(monkeypatch, capsys, golden_path, cases):
@@ -555,3 +559,27 @@ def test_mutated_graph_json_never_escapes_main(text):
             assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
         else:
             assert out == "" and err.startswith("usage error:"), (argv, err)
+
+
+_CYCLE5 = json.dumps(graph_to_json(FamilySpec.make("cycle", k=5, signs=[-1] * 5).build()))
+
+
+# calls made in this order in one process, each after one that sets
+# other flags or ends in a usage error, from argparse or from a handler,
+# or in argparse's --version exit
+@pytest.mark.parametrize("calls", [
+    [(["simulate", "--relaxed", *_places("0:A", "2:-A")], _CYCLE5), (["simulate"], _CYCLE5)],
+    [(["solve", "--relaxed"], _CYCLE5), (["solve"], _CYCLE5)],
+    [(["simulate", "--format", "xml"], _CYCLE5), (["simulate", *_places("0:B")], _CYCLE5),
+     (["simulate", *_places("1:A")], _CYCLE5)],
+    [(["--version"], ""), (["generate", "gst", "3", "3"], "")],
+])
+def test_reused_parser_leaks_nothing_between_calls(monkeypatch, calls):
+    # help and usage text wrap at the terminal width, so both sides get one
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    for argv, text in calls:
+        fresh = run_cli(*argv, stdin=text, env={"COLUMNS": "80"})
+        code, out, err = main_in_process(argv, text)
+        assert (code, mask_millis(out), err) == (
+            fresh.returncode, mask_millis(fresh.stdout), fresh.stderr), argv

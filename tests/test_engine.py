@@ -523,3 +523,30 @@ def test_dumps_trace_equals_json_dumps_on_multi_chunk_traces(n, seed, synthetic)
     else:
         trace = random_run(g, rng, int(rng.integers(0, n + 1)))
     assert_dumps_trace_matches(trace)
+
+
+def test_dumps_trace_on_a_step_that_informs_many_chunks():
+    # a star on 300 vertices, signs mixed: placing the centre informs the
+    # 299 leaves, in all five 64-vertex chunks, in one step
+    rng = np.random.default_rng(5)
+    g = SignedGraph.from_edge_list(300, [(0, v, int(rng.choice([1, -1]))) for v in range(1, 300)])
+    trace = run(g, Strategy(MODE_ID, (Placement(0, Label.A),)))
+    assert trace.complete and len(set((np.flatnonzero(trace.when == 1) // 64).tolist())) == 5
+    assert_dumps_trace_matches(trace)
+    # gn(200): its second step informs vertices in chunks 1, 2 and 3
+    trace = run(gen_gn(200), Strategy(MODE_ID, (Placement(7, Label.A), Placement(100, Label.A))))
+    assert set((np.flatnonzero(trace.when == 2) // 64).tolist()) == {1, 2, 3}
+    assert_dumps_trace_matches(trace)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 2, 0]],  # two equal consecutive snapshots
+    [[0, 1, 0], [0, 1, 3], [0, 0, 3], [2, 0, 0]],  # vertices going back to Zero
+])
+@pytest.mark.parametrize("width", [0, 1, 64, 70])
+def test_dumps_trace_on_hand_built_snapshots(rows, width):
+    # each label repeated width times: n = 0, within one chunk, across two
+    n = 3 * width
+    g = SignedGraph.from_edge_list(n, [])
+    snaps = [np.repeat(np.array(r, dtype=np.int8), width) for r in rows]
+    assert_dumps_trace_matches(Trace(g, Strategy(MODE_RID, ()), snaps, False))

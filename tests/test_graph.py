@@ -642,7 +642,9 @@ def test_realize_min_signature():
     assert realize_min_signature(g, [(np.int64(a), np.int64(a + 4)) for a in range(4)]) == realized
 
 
-@pytest.mark.parametrize("e_set", [[(0,)], [(0, "a")], [(0, 4, 1)], [None], ["ab"], [(0, 4.0)], 5, None])
+# a bool is not an integer here either: (False, True) is not the pair 0-1
+@pytest.mark.parametrize("e_set", [[(0,)], [(0, "a")], [(0, 4, 1)], [None], ["ab"], [(0, 4.0)], 5, None,
+                                   [(False, True)], [(0, True)], [(np.int64(0), False)]])
 def test_realize_min_signature_refuses_non_integer_pairs(e_set):
     with pytest.raises(InputError, match="^edge set must hold \\(u, v\\) pairs of integers"):
         realize_min_signature(gen_ktt_tau(4), e_set)
