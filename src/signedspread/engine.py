@@ -242,25 +242,17 @@ class _RunSnapshots(Sequence):
         return _freeze(np.where(self.when <= i, self.final, np.int8(_ZERO)))
 
     def __iter__(self):
-        for labels, _ in self._steps():
-            yield np.frombuffer(bytes(labels), dtype=np.int8)
-
-    def _steps(self):
-        """(labels, informed) for each snapshot in order: one bytearray of
-        its label codes, stepped in place (copy it to keep it), and the
-        list of vertices it informed, which it labels as final does."""
         final = self.final.tobytes()
         order = np.argsort(self.when, kind="stable").tolist()
         # ends[i]: how many vertices snapshot i has informed
         ends = np.cumsum(np.bincount(self.when, minlength=self._count)).tolist()
-        labels = bytearray(len(final))
+        buf = bytearray(len(final))
         start = 0
         for i in range(self._count):
-            informed = order[start:ends[i]]
-            for v in informed:
-                labels[v] = final[v]
+            for v in order[start:ends[i]]:
+                buf[v] = final[v]
             start = ends[i]
-            yield labels, informed
+            yield np.frombuffer(bytes(buf), dtype=np.int8)
 
 
 class Trace:
@@ -486,12 +478,12 @@ def trace_to_json(trace: Trace) -> dict:
 
 
 def _snapshot_changes(snapshots):
-    """(labels, changed) for each hand-built snapshot in order: its label
-    bytes and the vertices where it differs from the snapshot before it,
-    or from the all-Zero state before the first."""
+    """(labels, changed) for each snapshot in order: its label bytes and
+    the vertices where it differs from the snapshot before it, or from
+    the all-Zero state before the first."""
     before = None
     for snap in snapshots:
-        changed = np.flatnonzero(snap if before is None else snap != before).tolist()
+        changed = (snap if before is None else snap != before).nonzero()[0].tolist()
         yield snap.tobytes(), changed
         before = snap
 
@@ -504,14 +496,13 @@ def _dumps_trace(trace: Trace) -> str:
     separators; each snapshot goes into the one list the document is
     joined from as "[" plus row, one list extend that runs in C.
 
-    Between snapshots only the chunks that hold a changed vertex are
-    joined again. A run's changed vertices are the ones each step
-    informed, from its when and final (_RunSnapshots._steps), so a step
-    that informs k vertices joins at most k chunks again; a hand-built
-    trace's snapshots are compared with the one before. A trace of s
-    snapshots on n vertices then costs ceil(n/64) chunk texts for the
-    all-Zero state, one 64-token join per changed chunk (at most n over
-    a run), and s extends of 2 ceil(n/64) list entries."""
+    Between snapshots only the chunks that hold a vertex changed since
+    the snapshot before are joined again (_snapshot_changes, one array
+    comparison per snapshot). A run informs each vertex once and never
+    relabels it, so over a run at most n chunks are joined again. A
+    trace of s snapshots on n vertices then costs ceil(n/64) chunk texts
+    for the all-Zero state, one 64-token join per changed chunk, and s
+    extends of 2 ceil(n/64) list entries."""
     head = json.dumps({
         "schema": 1,
         "graph": graph_to_json(trace.graph),
@@ -522,8 +513,6 @@ def _dumps_trace(trace: Trace) -> str:
     tok = _LABEL_TOKENS
     size = _SNAPSHOT_CHUNK
     n = trace.graph.n
-    snaps = trace.snapshots
-    steps = snaps._steps() if isinstance(snaps, _RunSnapshots) else _snapshot_changes(snaps)
     # row[2c] is chunk c's text and row[2c + 1] the separator after it;
     # the last separator closes the snapshot (and is all of row when n = 0)
     zero = tok[_ZERO]
@@ -532,7 +521,7 @@ def _dumps_trace(trace: Trace) -> str:
         row += (", ".join([zero] * min(size, n - i)), ", ")
     row[-1:] = ["], "]
     parts = [head[:-1], ', "snapshots": [']
-    for labels, changed in steps:
+    for labels, changed in _snapshot_changes(trace.snapshots):
         for c in {v // size for v in changed}:
             i = c * size
             row[2 * c] = ", ".join([tok[b] for b in labels[i:i + size]])
