@@ -130,10 +130,13 @@ def graph_to_dot(g, labels=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _comma_list(text: str) -> list:
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
 def _parse_signs(text: str, count: int) -> list:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
-        signs = [int(p) for p in parts]
+        signs = [int(p) for p in _comma_list(text)]
     except ValueError:
         raise UsageError(f"--signs expects comma-separated 1/-1, got {text!r}") from None
     if len(signs) != count:
@@ -142,16 +145,15 @@ def _parse_signs(text: str, count: int) -> list:
 
 
 def _parse_flags(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = _comma_list(text)
     if not all(p in ("0", "1") for p in parts):
         raise UsageError(f"--layer-signs expects comma-separated 0/1, got {text!r}")
     return tuple(p == "1" for p in parts)
 
 
 def _parse_vertices(text: str) -> list:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
-        return [int(p) for p in parts]
+        return [int(p) for p in _comma_list(text)]
     except ValueError:
         raise UsageError(f"expected comma-separated vertex ids, got {text!r}") from None
 

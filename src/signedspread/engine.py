@@ -66,6 +66,11 @@ def str_to_label(text: str) -> Label:
         raise InputError(f"unknown label {text!r}, expected one of 0, A, -A, C") from None
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (MODE_ID, MODE_RID):
+        raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
+
+
 @dataclass(frozen=True)
 class Placement:
     vertex: int
@@ -78,8 +83,7 @@ class Strategy:
     placements: tuple
 
     def __post_init__(self):
-        if self.mode not in (MODE_ID, MODE_RID):
-            raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
+        _check_mode(self.mode)
         object.__setattr__(self, "placements", tuple(self.placements))
 
 
@@ -204,24 +208,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _label_array(labels, n: int, what: str) -> np.ndarray:
-    """labels as an int8 array of n label codes, or InputError naming what:
-    a wrong shape, a non-integer dtype or a code outside 0..3."""
-    arr = np.asarray(labels)
-    if arr.shape != (n,):
-        raise InputError(f"{what} has shape {arr.shape}, expected {n} labels")
-    if arr.dtype.kind not in "iu" or (n and not 0 <= arr.min() <= arr.max() <= 3):
-        raise InputError(f"{what} labels must be integer codes 0..3")
-    return arr.astype(np.int8, copy=False)
-
-
 class _RunSnapshots(Sequence):
     """The snapshots of a run, from its final labels and when: snapshot i
     is final where when <= i and Zero elsewhere, a read-only int8 array
-    built on access in O(n). Iterating steps one bytearray forward,
-    writing only the vertices each step informed, so a pass over all s
-    snapshots writes n labels and copies s times n bytes, not s arrays
-    built whole."""
+    built on access in O(n). Iterating, like _dumps_trace, reads
+    _informed, which steps one bytearray forward writing only the
+    vertices each step informed, so a pass over all s snapshots writes n
+    labels and copies s times n bytes, not s arrays built whole."""
 
     def __init__(self, final: np.ndarray, when: np.ndarray, count: int):
         self.final, self.when, self._count = final, when, count
@@ -241,55 +234,46 @@ class _RunSnapshots(Sequence):
             return self.final
         return _freeze(np.where(self.when <= i, self.final, np.int8(_ZERO)))
 
-    def __iter__(self):
+    def _informed(self):
+        """(labels, informed) for each snapshot in order: its label codes
+        as bytes, and the vertices the step to it informed, read off when
+        (none at snapshot 0, the all-Zero state)."""
         final = self.final.tobytes()
         order = np.argsort(self.when, kind="stable").tolist()
         # ends[i]: how many vertices snapshot i has informed
         ends = np.cumsum(np.bincount(self.when, minlength=self._count)).tolist()
         buf = bytearray(len(final))
         start = 0
-        for i in range(self._count):
-            for v in order[start:ends[i]]:
+        for end in ends[:self._count]:
+            informed = order[start:end]
+            for v in informed:
                 buf[v] = final[v]
-            start = ends[i]
-            yield np.frombuffer(bytes(buf), dtype=np.int8)
+            start = end
+            yield bytes(buf), informed
+
+    def __iter__(self):
+        for labels, _ in self._informed():
+            yield np.frombuffer(labels, dtype=np.int8)
 
 
 class Trace:
-    """A run of the process: snapshots[i] is the state after step i, a
-    read-only int8 array of n label codes, and final is the last one.
+    """A run of the process from the all-Zero state, as run, a policy or
+    mirror_trace makes it.
 
-    A run informs each vertex once and never relabels it, so `when`
-    fixes a run with final: when[v] is the step that informed v, or
-    steps + 1 while v is Zero. A trace made by `run`, a policy or
-    mirror_trace keeps only these two arrays, and its snapshots is a
-    read-only sequence (_RunSnapshots) that builds each snapshot from
-    them. levels, mirror_trace, confused and == read final and when.
+    A run informs each vertex once and never relabels it, so it is fixed
+    by final, its last labels (int8 codes), and when: when[v] is the step
+    that informed v, or steps + 1 while v is Zero. A trace keeps these two
+    arrays, made read-only, and derives the rest: steps is the number of
+    placements, snapshots[i] the state after step i (_RunSnapshots builds
+    it from final and when), and complete whether no vertex of final is
+    Zero. levels, mirror_trace, confused and == read final and when."""
 
-    Trace(graph, strategy, snapshots, complete) builds a trace from its
-    snapshots and keeps them, each converted to a read-only int8 copy;
-    a snapshot of another length, a non-integer dtype or a code outside
-    0..3 raises InputError. Its when[v] is the first step, from 1, at
-    which v is nonzero."""
-
-    def __init__(self, graph: SignedGraph, strategy: Strategy, snapshots, complete: bool):
-        if isinstance(snapshots, _RunSnapshots):
-            when = snapshots.when
-        else:
-            snapshots = tuple(_freeze(np.array(_label_array(snap, graph.n, f"snapshot {i}")))
-                              for i, snap in enumerate(snapshots))
-            if not snapshots:
-                raise InputError("a trace needs at least one snapshot")
-            when = np.full(graph.n, len(snapshots), dtype=np.intc)
-            for i in range(len(snapshots) - 1, 0, -1):
-                when[snapshots[i] != _ZERO] = i
-            _freeze(when)
-        self.graph, self.strategy, self.complete = graph, strategy, complete
-        self.snapshots, self.final, self.when = snapshots, snapshots[-1], when
-
-    @property
-    def steps(self) -> int:
-        return len(self.snapshots) - 1
+    def __init__(self, graph: SignedGraph, strategy: Strategy, final: np.ndarray, when: np.ndarray):
+        self.graph, self.strategy = graph, strategy
+        self.final, self.when = _freeze(final), _freeze(when)
+        self.steps = len(strategy.placements)
+        self.snapshots = _RunSnapshots(self.final, self.when, self.steps + 1)
+        self.complete = bool((self.final != _ZERO).all())
 
     def confused(self) -> tuple:
         return tuple(np.flatnonzero(self.final == _CONFUSED).tolist())
@@ -300,16 +284,10 @@ class Trace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        if not (self.graph == other.graph
+        return (self.graph == other.graph
                 and self.strategy == other.strategy
-                and self.complete == other.complete
-                and len(self.snapshots) == len(other.snapshots)
                 and np.array_equal(self.final, other.final)
-                and np.array_equal(self.when, other.when)):
-            return False
-        # a run's snapshots follow from final and when; hand-built ones need not
-        runs = isinstance(self.snapshots, _RunSnapshots) and isinstance(other.snapshots, _RunSnapshots)
-        return runs or all(np.array_equal(a, b) for a, b in zip(self.snapshots, other.snapshots))
+                and np.array_equal(self.when, other.when))
 
 
 def _at(idx: int | None) -> str:
@@ -337,8 +315,13 @@ def _check_placement(g: SignedGraph, labels, p: Placement,
 
 
 def step(g: SignedGraph, state: np.ndarray, placement: Placement) -> np.ndarray:
-    """Place on a Zero vertex and run one synchronous round."""
-    labels = _label_array(state, g.n, "state")
+    """Place on a Zero vertex and run one synchronous round. state must
+    hold n integer label codes 0..3, else InputError."""
+    labels = np.asarray(state)
+    if labels.shape != (g.n,):
+        raise InputError(f"state has shape {labels.shape}, expected {g.n} labels")
+    if labels.dtype.kind not in "iu" or (g.n and not 0 <= labels.min() <= labels.max() <= 3):
+        raise InputError("state labels must be integer codes 0..3")
     p = _check_placement(g, labels, placement)
     return StepContext(g).step(labels, p.vertex, int(p.info))
 
@@ -391,8 +374,7 @@ def _trace(g: SignedGraph, mode: str, pick, count: int | None = None) -> Trace:
     final = np.frombuffer(bytes(labels), dtype=np.int8)
     informed = np.frombuffer(when, dtype=np.intc).copy()
     informed[final == _ZERO] = i + 1
-    snapshots = _RunSnapshots(final, _freeze(informed), i + 1)
-    return Trace(g, Strategy(mode, tuple(placements)), snapshots, zeros == 0)
+    return Trace(g, Strategy(mode, tuple(placements)), final, informed)
 
 
 def run(g: SignedGraph, strategy: Strategy) -> Trace:
@@ -438,8 +420,7 @@ def mirror_trace(trace: Trace) -> Trace:
         for p in trace.strategy.placements
     )
     final = np.where(odd, _NEGATED[trace.final], trace.final)
-    snapshots = _RunSnapshots(_freeze(final), trace.when, len(trace.snapshots))
-    return Trace(negate_signature(trace.graph), Strategy(MODE_RID, placements), snapshots, True)
+    return Trace(negate_signature(trace.graph), Strategy(MODE_RID, placements), final, trace.when)
 
 
 def strategy_to_json(strategy: Strategy) -> list:
@@ -477,17 +458,6 @@ def trace_to_json(trace: Trace) -> dict:
     }
 
 
-def _snapshot_changes(snapshots):
-    """(labels, changed) for each snapshot in order: its label bytes and
-    the vertices where it differs from the snapshot before it, or from
-    the all-Zero state before the first."""
-    before = None
-    for snap in snapshots:
-        changed = (snap if before is None else snap != before).nonzero()[0].tolist()
-        yield snap.tobytes(), changed
-        before = snap
-
-
 def _dumps_trace(trace: Trace) -> str:
     """json.dumps(trace_to_json(trace)), byte for byte, without a str per
     label. Each snapshot, one int8 label code per vertex, is cut into
@@ -496,13 +466,13 @@ def _dumps_trace(trace: Trace) -> str:
     separators; each snapshot goes into the one list the document is
     joined from as "[" plus row, one list extend that runs in C.
 
-    Between snapshots only the chunks that hold a vertex changed since
-    the snapshot before are joined again (_snapshot_changes, one array
-    comparison per snapshot). A run informs each vertex once and never
-    relabels it, so over a run at most n chunks are joined again. A
-    trace of s snapshots on n vertices then costs ceil(n/64) chunk texts
-    for the all-Zero state, one 64-token join per changed chunk, and s
-    extends of 2 ceil(n/64) list entries."""
+    Between snapshots only the chunks that hold a vertex the step
+    informed are joined again, read off when (_RunSnapshots._informed).
+    A run informs each vertex once and never relabels it, so over a run
+    at most n chunks are joined again. A trace of s snapshots on n
+    vertices then costs ceil(n/64) chunk texts for the all-Zero state,
+    one 64-token join per changed chunk, and s extends of 2 ceil(n/64)
+    list entries."""
     head = json.dumps({
         "schema": 1,
         "graph": graph_to_json(trace.graph),
@@ -521,8 +491,8 @@ def _dumps_trace(trace: Trace) -> str:
         row += (", ".join([zero] * min(size, n - i)), ", ")
     row[-1:] = ["], "]
     parts = [head[:-1], ', "snapshots": [']
-    for labels, changed in _snapshot_changes(trace.snapshots):
-        for c in {v // size for v in changed}:
+    for labels, informed in trace.snapshots._informed():
+        for c in {v // size for v in informed}:
             i = c * size
             row[2 * c] = ", ".join([tok[b] for b in labels[i:i + size]])
         parts.append("[")

@@ -67,6 +67,7 @@ from .engine import (
     _NEG_A,
     _NEGATED,
     _ZERO,
+    _check_mode,
     MODE_ID,
     MODE_RID,
     Label,
@@ -119,7 +120,10 @@ class SolveReport:
     optimal: bool
     nodes: int
     millis: float
-    mode: str
+
+    @property
+    def mode(self) -> str:
+        return self.witness.mode
 
     @property
     def steps(self) -> int:
@@ -379,7 +383,7 @@ class _Search:
 def _report(t0: float, limits: _Limits, optimum: int, witness: Strategy,
             optimal: bool) -> SolveReport:
     millis = (time.perf_counter() - t0) * 1000.0
-    return SolveReport(optimum, witness, optimal, limits.nodes_used, millis, witness.mode)
+    return SolveReport(optimum, witness, optimal, limits.nodes_used, millis)
 
 
 def _fallback(g: SignedGraph, mode: str, t0: float, limits: _Limits,
@@ -470,8 +474,7 @@ def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None)
     ignored): the threshold search with every placement costing one step.
     A state that the ball-counting bound rules out is answered without a
     node."""
-    if mode not in (MODE_ID, MODE_RID):
-        raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
+    _check_mode(mode)
     budget = budget or Budget()
     _check_exact_pre(g, budget, EXACT_MAX_N, "min_steps")
     return _branch_solve(g, mode, budget, count_steps=True)
@@ -480,8 +483,7 @@ def min_steps(g: SignedGraph, mode: str = MODE_ID, budget: Budget | None = None)
 def brute_oracle(g: SignedGraph, mode: str = MODE_ID, max_n: int = ORACLE_MAX_N) -> int:
     """Exhaustive minimum confused count: every placement sequence, and
     in relaxed mode every value sequence, with no memo and no pruning."""
-    if mode not in (MODE_ID, MODE_RID):
-        raise InputError(f"mode must be {MODE_ID!r} or {MODE_RID!r}")
+    _check_mode(mode)
     if g.n > _size_cap(max_n):
         raise CapacityError(f"brute_oracle capped at n <= {max_n}, got {g.n}")
     ctx = StepContext(g)

@@ -735,11 +735,11 @@ def explore_conjecture(
 
 def _claim_conjecture(which: str, claim_id: str, budget: Budget) -> ClaimResult:
     rep = explore_conjecture(which, budget=budget)
-    if rep.skipped and not rep.violations and rep.checked == 0:
-        return ClaimResult(
-            claim_id, "family + random corpus", "no violations", "-", "skipped",
-            detail="; ".join(rep.skipped[:3]),
-        )
+    instance = "all family instances n <= 12 + 100 random connected n <= 8"
+    repro = f"signedspread explore-conjecture {which}"
+    if rep.skipped and not rep.checked:
+        return ClaimResult(claim_id, instance, "no violations", "-", "skipped",
+                           detail="; ".join(rep.skipped[:3]), repro=repro)
     lead = "; ".join(
         f"{v.label}: value {v.observed} > bound {v.bound}" for v in rep.violations[:3]
     )
@@ -749,12 +749,12 @@ def _claim_conjecture(which: str, claim_id: str, budget: Budget) -> ClaimResult:
         lead = (lead + "; " if lead else "") + f"{len(rep.skipped)} skipped"
     return ClaimResult(
         claim_id=claim_id,
-        instance="all family instances n <= 12 + 100 random connected n <= 8",
+        instance=instance,
         expected="0 violations",
         observed=f"{len(rep.violations)} violations over {rep.checked} instances",
         status="pass" if not rep.violations else "fail",
         detail=lead,
-        repro=f"signedspread explore-conjecture {which}",
+        repro=repro,
     )
 
 

@@ -84,6 +84,19 @@ def test_generate_validation_exit_codes():
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "cycle", "5", "--signs", "1,x,1,1,1"],
+     "--signs expects comma-separated 1/-1, got '1,x,1,1,1'"),
+    (["generate", "cycle", "5", "--signs", "1,1"], "--signs expects 5 entries, got 2"),
+    (["generate", "gst", "3", "3", "--layer-signs", "1,2,0"],
+     "--layer-signs expects comma-separated 0/1, got '1,2,0'"),
+    (["switch", "--at", "0,x"], "expected comma-separated vertex ids, got '0,x'"),
+], ids=["signs-text", "signs-count", "layer-signs", "switch-at"])
+def test_comma_list_usage_errors(argv, message):
+    graph = json.dumps(graph_to_json(FamilySpec.make("cycle", k=5).build()))
+    assert main_in_process(argv, graph) == (2, "", f"usage error: {message}\n")
+
+
 def test_pipe_generate_into_solve():
     graph = run_cli("generate", "gn", "6").stdout
     payload = out_json(run_cli("solve", "--exact", stdin=graph))

@@ -286,21 +286,18 @@ def test_run_snapshots_are_a_read_only_sequence():
             snap[0] = int(Label.A)
 
 
-def test_trace_normalizes_hand_built_snapshots():
-    # int64 snapshots were once written as 8 labels per vertex
+def test_traces_that_differ_compare_unequal():
     g = gen_path(4)
-    strategy = Strategy(MODE_ID, (Placement(0, Label.A), Placement(3, Label.A)))
-    given = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.int64)
-    trace = Trace(g, strategy, list(given), True)
-    assert all(s.dtype == np.int8 and not s.flags.writeable for s in trace.snapshots)
-    given[1, 2] = int(Label.CONFUSED)  # the trace keeps copies
-    assert trace == run(g, strategy) and levels(trace) == {0: 0, 1: 1, 2: 2, 3: 1}
-    assert _dumps_trace(trace) == json.dumps(trace_to_json(trace))
-    assert json.loads(_dumps_trace(trace))["snapshots"][1] == ["A", "A", "0", "0"]
-    for bad in ([[0, 0, 0]], [[0.0] * 4], [[0, 4, 0, 0]], [[0, -1, 0, 0]], [[True] * 4],
-                [[[0] * 4]], []):
-        with pytest.raises(InputError):
-            Trace(g, strategy, bad, True)
+    base = run(g, Strategy(MODE_ID, (Placement(0, Label.A), Placement(3, Label.A))))
+    parts = (base.graph, base.strategy, base.final, base.when)
+    assert Trace(*parts) == base
+    final, when = base.final.copy(), base.when.copy()
+    final[2], when[2] = int(Label.NEG_A), 1
+    for i, other in enumerate((gen_path(4, [1, -1, 1]), Strategy(MODE_RID, base.strategy.placements),
+                               final, when)):
+        differ = Trace(*parts[:i], other, *parts[i + 1:])
+        assert differ != base and base != differ, i
+    assert (base == object()) is False and base != object()
 
 
 def test_relaxed_mode_allows_negative_placement():
@@ -415,13 +412,6 @@ def test_gn_balanced_play_floods_without_confusion():
 
 
 def test_trace_json_snapshots_match_label_to_str():
-    g = gen_random_connected(5, 9)
-    rng = np.random.default_rng(5)
-    snaps = rng.integers(0, 4, size=(6, g.n)).astype(np.int8)
-    snaps[0, :4] = [int(label) for label in Label]  # every label value
-    trace = Trace(g, Strategy(MODE_RID, ()), tuple(snaps), False)
-    want = [[label_to_str(x) for x in snap] for snap in trace.snapshots]
-    assert trace_to_json(trace)["snapshots"] == want
     gst = gen_gst(4, 3)
     real = run(gst, exact_relaxed_confusion(gst).witness)  # 3 confused
     assert {int(x) for snap in real.snapshots for x in snap} == {int(label) for label in Label}
@@ -433,21 +423,13 @@ def test_trace_json_snapshots_match_label_to_str():
 @st.composite
 def traces(draw):
     """The run of a random legal placement prefix (so complete or not) on
-    a random graph with n from 0 to 12, in either mode; or a synthetic
-    trace whose snapshots hold random label codes, every code when n >= 4,
-    in int8 or a wider or unsigned integer dtype."""
+    a random graph with n from 0 to 12, in either mode."""
     n = draw(st.integers(0, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = SignedGraph.from_edge_list(
         n, [(u, v, draw(st.sampled_from([1, -1]))) for u, v in pairs if draw(st.booleans())])
     relaxed = draw(st.booleans())
     mode = MODE_RID if relaxed else MODE_ID
-    if draw(st.booleans()):
-        codes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-        dtype = draw(st.sampled_from([np.int8, np.int64, np.uint8]))
-        snaps = np.array(draw(st.lists(codes, min_size=1, max_size=6)), dtype=dtype)
-        snaps[0, :4] = [int(label) for label in Label][:n]
-        return Trace(g, Strategy(mode, ()), tuple(snaps), draw(st.booleans()))
     placements, _ = draw_prefix(draw, g, relaxed)
     return run(g, Strategy(mode, tuple(placements)))
 
@@ -497,8 +479,6 @@ def test_dumps_trace_across_chunk_boundaries(n):
     rng = np.random.default_rng(n)
     g, _ = relabeled_path(n, rng)
     assert_dumps_trace_matches(random_run(g, rng, n))
-    snaps = rng.integers(0, 4, size=(5, n)).astype(np.int8)
-    assert_dumps_trace_matches(Trace(g, Strategy(MODE_RID, ()), tuple(snaps), False))
 
 
 def test_dumps_trace_on_the_simulate_benchmark_path():
@@ -511,18 +491,13 @@ def test_dumps_trace_on_the_simulate_benchmark_path():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 200), st.integers(0, 2**32 - 1), st.booleans())
-def test_dumps_trace_equals_json_dumps_on_multi_chunk_traces(n, seed, synthetic):
+@given(st.integers(0, 200), st.integers(0, 2**32 - 1))
+def test_dumps_trace_equals_json_dumps_on_multi_chunk_traces(n, seed):
     """A random run, complete or not, on a relabeled path of up to 200
-    vertices; or up to 6 snapshots of random label codes."""
+    vertices."""
     rng = np.random.default_rng(seed)
     g, _ = relabeled_path(n, rng)
-    if synthetic:
-        snaps = rng.integers(0, 4, size=(int(rng.integers(1, 7)), n)).astype(np.int8)
-        trace = Trace(g, Strategy(MODE_RID, ()), tuple(snaps), False)
-    else:
-        trace = random_run(g, rng, int(rng.integers(0, n + 1)))
-    assert_dumps_trace_matches(trace)
+    assert_dumps_trace_matches(random_run(g, rng, int(rng.integers(0, n + 1))))
 
 
 def test_dumps_trace_on_a_step_that_informs_many_chunks():
@@ -537,16 +512,3 @@ def test_dumps_trace_on_a_step_that_informs_many_chunks():
     trace = run(gen_gn(200), Strategy(MODE_ID, (Placement(7, Label.A), Placement(100, Label.A))))
     assert set((np.flatnonzero(trace.when == 2) // 64).tolist()) == {1, 2, 3}
     assert_dumps_trace_matches(trace)
-
-
-@pytest.mark.parametrize("rows", [
-    [[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 2, 0]],  # two equal consecutive snapshots
-    [[0, 1, 0], [0, 1, 3], [0, 0, 3], [2, 0, 0]],  # vertices going back to Zero
-])
-@pytest.mark.parametrize("width", [0, 1, 64, 70])
-def test_dumps_trace_on_hand_built_snapshots(rows, width):
-    # each label repeated width times: n = 0, within one chunk, across two
-    n = 3 * width
-    g = SignedGraph.from_edge_list(n, [])
-    snaps = [np.repeat(np.array(r, dtype=np.int8), width) for r in rows]
-    assert_dumps_trace_matches(Trace(g, Strategy(MODE_RID, ()), snaps, False))

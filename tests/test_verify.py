@@ -67,6 +67,19 @@ def test_run_suite_zero_budget_skips_everything():
     assert all(r.status == "skipped" for r in results)
 
 
+@pytest.mark.parametrize("claim_id", ["conjecture_bound", "conjecture_relaxed_bound"])
+def test_conjecture_claim_with_every_instance_skipped(claim_id):
+    # verify_claim answers a zero budget itself; the claim body, called
+    # directly, sees every solve run out and reports the normal claim's
+    # instance and repro
+    normal = next(r for r in json.loads(SUITE_JSON.read_text()) if r["claim_id"] == claim_id)
+    result = CLAIMS[claim_id](Budget(nodes=0))
+    assert result.status == "skipped"
+    assert (result.instance, result.repro) == (normal["instance"], normal["repro"])
+    first = [label for label, _ in family_instances()[:3]]
+    assert result.detail == "; ".join(f"{label}: budget exhausted" for label in first)
+
+
 def test_run_suite_claim_filter():
     results = run_suite(claim_ids=["tree_zero"])
     assert len(results) == 1 and results[0].claim_id == "tree_zero"
