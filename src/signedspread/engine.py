@@ -87,6 +87,18 @@ class Strategy:
         object.__setattr__(self, "placements", tuple(self.placements))
 
 
+def _label_codes(state, n: int) -> np.ndarray:
+    """state as an int8 array of label codes, when it holds n integer
+    codes 0..3; otherwise InputError. The one label-state rule of
+    StepContext.step, engine.step and Trace."""
+    labels = np.asarray(state)
+    if labels.shape != (n,):
+        raise InputError(f"state has shape {labels.shape}, expected {n} labels")
+    if labels.dtype.kind not in "iu" or (n and not 0 <= labels.min() <= labels.max() <= 3):
+        raise InputError("state labels must be integer codes 0..3")
+    return labels.astype(np.int8, copy=False)
+
+
 def _heard(rows, labels, senders):
     """{Zero vertex: hearing bits} of what the senders send (1: hears A,
     2: hears -A, 3: both). rows[v] lists v's (neighbour, edge sign)
@@ -140,16 +152,17 @@ class StepContext:
 
     def step(self, labels: np.ndarray, vertex: int, info: int) -> np.ndarray:
         """labels after placing info on the Zero vertex `vertex` and one
-        round, as a read-only int8 view of bytes. labels of any other
-        integer dtype are read as int8 label codes. A vertex that
-        graph._vertex refuses, or an info other than A or -A, raises
-        InputError; the labels themselves, and whether the vertex is
-        Zero, go unchecked here, since engine.step checks them before it
-        calls this."""
+        round, as a read-only int8 view of bytes. labels of any integer
+        dtype are read as label codes (_label_codes). A vertex that
+        graph._vertex refuses, an info other than A or -A, or labels
+        that _label_codes refuses raise InputError; a vertex that is not
+        Zero raises StrategyError."""
         vertex = _vertex(vertex, self.graph.n, "vertex")
         if info != _A and info != _NEG_A:
             raise InputError(f"placed value must be A or -A, got {info!r}")
-        labels = np.asarray(labels, dtype=np.int8)
+        labels = _label_codes(labels, self.graph.n)
+        if labels[vertex] != _ZERO:
+            raise StrategyError(f"vertex {vertex} is not Zero")
         senders = np.flatnonzero((labels == _A) | (labels == _NEG_A)).tolist()
         buf = bytearray(labels.tobytes())
         buf[vertex] = int(info)
@@ -266,14 +279,26 @@ class Trace:
     arrays, made read-only, and derives the rest: steps is the number of
     placements, snapshots[i] the state after step i (_RunSnapshots builds
     it from final and when), and complete whether no vertex of final is
-    Zero. levels, mirror_trace, confused and == read final and when."""
+    Zero. levels, mirror_trace, confused and == read final and when.
+    final must hold n label codes (_label_codes) and when n integers,
+    1..steps where final is informed and steps + 1 where it is Zero;
+    anything else raises InputError."""
 
     def __init__(self, graph: SignedGraph, strategy: Strategy, final: np.ndarray, when: np.ndarray):
         self.graph, self.strategy = graph, strategy
-        self.final, self.when = _freeze(final), _freeze(when)
         self.steps = len(strategy.placements)
-        self.snapshots = _RunSnapshots(self.final, self.when, self.steps + 1)
-        self.complete = bool((self.final != _ZERO).all())
+        final = _label_codes(final, graph.n)
+        when = np.asarray(when)
+        late = self.steps + 1
+        zero = final == _ZERO
+        if (when.shape != final.shape or when.dtype.kind not in "iu"
+                or (graph.n and not 1 <= when.min() <= when.max() <= late)
+                or np.count_nonzero((when == late) != zero)):
+            raise InputError(f"when must hold {graph.n} steps, 1..{self.steps} where final "
+                             f"is informed and {late} where it is Zero")
+        self.final, self.when = _freeze(final), _freeze(when)
+        self.snapshots = _RunSnapshots(self.final, self.when, late)
+        self.complete = not np.count_nonzero(zero)
 
     def confused(self) -> tuple:
         return tuple(np.flatnonzero(self.final == _CONFUSED).tolist())
@@ -316,12 +341,8 @@ def _check_placement(g: SignedGraph, labels, p: Placement,
 
 def step(g: SignedGraph, state: np.ndarray, placement: Placement) -> np.ndarray:
     """Place on a Zero vertex and run one synchronous round. state must
-    hold n integer label codes 0..3, else InputError."""
-    labels = np.asarray(state)
-    if labels.shape != (g.n,):
-        raise InputError(f"state has shape {labels.shape}, expected {g.n} labels")
-    if labels.dtype.kind not in "iu" or (g.n and not 0 <= labels.min() <= labels.max() <= 3):
-        raise InputError("state labels must be integer codes 0..3")
+    hold n integer label codes 0..3 (_label_codes), else InputError."""
+    labels = _label_codes(state, g.n)
     p = _check_placement(g, labels, placement)
     return StepContext(g).step(labels, p.vertex, int(p.info))
 

@@ -15,8 +15,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, islice, repeat
-from operator import add, eq, gt, index, itemgetter, lt, mul
+from itertools import combinations, islice, repeat
+from operator import add, index, itemgetter, lt, mul
 from typing import Iterable, Optional
 
 from . import _kernels
@@ -35,42 +35,26 @@ FRUSTRATION_SCAN_MAX_N = 28
 JSON_MAX_N = 1_000_000
 _EDGE_FIELDS = itemgetter("u", "v", "sign")
 _SIGNS = frozenset((1, -1))
-# shorter edge lists go straight to the per-edge loop: the bulk test's
-# fixed cost, some 25 calls into C, makes it slower there on lists it
-# must reorder (1.1x the loop's time at 16 edges, 0.9x at 32)
-_BULK_MIN_EDGES = 32
 
 
 def _bulk_canonical(n: int, edges: list) -> Optional[list]:
-    """What SignedGraph.from_edge_list's loop makes of edges, from a few
-    passes that run in C; None unless edges holds tuples (u, v, sign) of
-    exact ints, every sign 1 or -1, every end in range, no self-loop and
-    no pair twice. Input already in canonical order, as graph_to_json
-    writes it, comes back as the same list; edges is never changed."""
+    """edges itself, when it is already in the canonical order that
+    graph_to_json writes: tuples (u, v, sign) of exact ints, every sign
+    1 or -1, 0 <= u < v < n, and the pairs strictly increasing, so none
+    twice. None otherwise. A few passes that run in C; any list that is
+    not canonical is left to the loop in SignedGraph.from_edge_list."""
     if not edges:
-        return []
+        return edges
     if {*map(type, edges)} != {tuple} or {*map(len, edges)} != {3}:
         return None
     us, vs, signs = zip(*edges)
     if {*map(type, us), *map(type, vs), *map(type, signs)} != {int} or not _SIGNS.issuperset(signs):
         return None
-    if not all(map(lt, us, vs)):
-        if any(map(eq, us, vs)):
-            return None
-        # swap the ends of the edges with u > v, in copies
-        lo, hi, edges = list(us), list(vs), edges.copy()
-        for i in compress(range(len(edges)), map(gt, us, vs)):
-            lo[i], hi[i] = vs[i], us[i]
-            edges[i] = (lo[i], hi[i], signs[i])
-        us, vs = lo, hi
-    top = max(vs)
-    if min(us) < 0 or top >= n:
+    if not all(map(lt, us, vs)) or min(us) < 0 or (top := max(vs)) >= n:
         return None
     # 0 <= u < v <= top, so u * (top + 1) + v orders the pairs as tuples do
     keys = list(map(add, map(mul, us, repeat(top + 1)), vs))
-    if all(map(lt, keys, islice(keys, 1, None))):
-        return edges
-    return None if len({*keys}) < len(keys) else sorted(edges)
+    return edges if all(map(lt, keys, islice(keys, 1, None))) else None
 
 
 @dataclass(frozen=True)
@@ -84,18 +68,16 @@ class SignedGraph:
     def from_edge_list(cls, n: int, edges: Iterable[tuple]) -> "SignedGraph":
         """Validate and canonicalize an edge list into a SignedGraph.
 
-        A list of at least _BULK_MIN_EDGES plain triples is checked in
-        bulk (_bulk_canonical). Any other goes through the per-edge loop,
-        the reference and the only source of error messages, which names
-        the first bad edge in input order."""
+        A list already in canonical order is taken as it is, once
+        _bulk_canonical has checked it. Any other goes through the
+        per-edge loop, the one canonicalizer and the only source of
+        error messages, which names the first bad edge in input order."""
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         if type(edges) is not list:
             edges = list(edges)
-        if len(edges) >= _BULK_MIN_EDGES:
-            canon = _bulk_canonical(n, edges)
-            if canon is not None:
-                return cls(n, tuple(canon))
+        if _bulk_canonical(n, edges) is not None:
+            return cls(n, tuple(edges))
         seen = set()
         canon = []
         for item in edges:
@@ -131,8 +113,6 @@ class SignedGraph:
         for u, v, s in self.edges:
             adj[u].append((v, s))
             adj[v].append((u, s))
-        for row in adj:
-            row.sort()
         return tuple(map(tuple, adj))
 
     def _sign(self, u: int, v: int) -> int:

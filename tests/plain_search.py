@@ -5,11 +5,12 @@ and connectivity and maximum degree from the edge list; the hearing
 rule and the round in plain Python; runs and the five policies' pick
 rules over whole snapshots, each stepped from the last by
 reference_step; and searches over int8 label arrays stepped one
-placement at a time with StepContext.step (the frontier round), with
-raw state keys, no orbit keys, no step bound and no thresholds. None of
-them uses the bitset kernel of StepContext.expand, or the run loop
-behind engine.run and the policies, which they check;
-assert_trace_matches_reference compares a Trace with a reference run."""
+placement at a time with StepContext.step, where every transmitter
+sends, with raw state keys, no orbit keys, no step bound and no
+thresholds. None of them uses the bitset kernel of
+StepContext.expand, or the run loop behind engine.run and the
+policies, which they check; assert_trace_matches_reference compares a
+Trace with a reference run."""
 
 import numpy as np
 

@@ -356,13 +356,52 @@ def test_mirror_trace_requires_complete_relaxed_trace():
 @pytest.mark.parametrize("state", [[0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 5], [0, -1, 0, 0],
                                    [[0, 0, 0, 0]], [0.0, 0.0, 0.0, 0.0]])
 def test_step_rejects_malformed_states(state):
-    # a wrong length or a label outside 0..3 is an input error, never a
-    # traceback nor a silently stepped state
+    # a wrong length, a label outside 0..3 or a float label is an input
+    # error at both single-round doors, never a traceback nor a silently
+    # stepped state
     g = gen_path(4)
-    with pytest.raises(InputError):
-        step(g, np.array(state), Placement(0, Label.A))
-    with pytest.raises(InputError):
-        step(g, state, Placement(0, Label.A))
+    ctx = StepContext(g)
+    for labels in (np.array(state), state):
+        with pytest.raises(InputError):
+            step(g, labels, Placement(0, Label.A))
+        with pytest.raises(InputError):
+            ctx.step(labels, 0, int(Label.A))
+
+
+@pytest.mark.parametrize("code", [Label.A, Label.NEG_A, Label.CONFUSED])
+def test_step_refuses_a_vertex_that_is_not_zero(code):
+    g = gen_path(5)
+    state = np.zeros(5, dtype=np.int8)
+    state[2] = int(code)
+    with pytest.raises(StrategyError, match="^vertex 2 is not Zero$"):
+        step(g, state, Placement(2, Label.A))
+    with pytest.raises(StrategyError, match="^vertex 2 is not Zero$"):
+        StepContext(g).step(state, 2, int(Label.A))
+
+
+def test_trace_checks_final_and_when():
+    g = gen_path(3)
+    strategy = Strategy(MODE_ID, (Placement(1, Label.A),))
+    base = run(g, strategy)
+    assert base.final.tolist() == [1, 1, 1] and base.when.tolist() == [1, 1, 1]
+    # final of another integer dtype is stored as int8 label codes
+    wide = Trace(g, strategy, np.array([1, 1, 1]), base.when)
+    assert wide.final.dtype == np.int8 and wide == base
+    assert _dumps_trace(wide) == _dumps_trace(base)
+    zero_left = Trace(g, Strategy(MODE_ID, ()), np.zeros(3, dtype=np.int8), np.ones(3, dtype=int))
+    assert not zero_left.complete
+    for final, when in [
+        (np.array([1, 1]), base.when),  # short final
+        (np.array([1, 9, 1]), base.when),  # a code outside 0..3
+        (np.array([1.0, 1.0, 1.0]), base.when),  # float labels
+        (base.final, np.array([1, 1])),  # short when
+        (base.final, np.array([1.0, 1.0, 1.0])),  # float steps
+        (base.final, np.array([1, 0, 1])),  # informed before the first step
+        (base.final, np.array([1, 2, 1])),  # informed after the last step
+        (np.array([1, 1, 0]), base.when),  # a Zero vertex with a step
+    ]:
+        with pytest.raises(InputError, match="^(state|when) "):
+            Trace(g, strategy, final, when)
 
 
 def test_pending_signals():

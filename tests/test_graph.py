@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedspread import _kernels
+from signedspread import _kernels, graph as graph_module
 from signedspread.errors import CapacityError, InputError
 from signedspread.families import (
     gen_cycle,
     gen_gn,
+    gen_gst,
     gen_ktt_tau,
     gen_path,
     gen_random_connected,
+    gen_random_tree,
 )
 from signedspread.graph import (
     FRUSTRATION_SCAN_MAX_N,
@@ -96,24 +98,24 @@ class _Vertex(IntEnum):
     ONE = 1
 
 
-@pytest.mark.parametrize("k", [3, 40])  # below and above _BULK_MIN_EDGES
+@pytest.mark.parametrize("k", [3, 40])  # a short list and a long one
 @pytest.mark.parametrize(
-    "form, bulk",
+    "form",
     [
-        (lambda e: [(0, 1, float(e[0][2]))] + e[1:], False),
-        (lambda e: [(_Vertex.ZERO, _Vertex.ONE, e[0][2])] + e[1:], False),
-        (lambda e: [list(edge) for edge in e], False),
-        (lambda e: (edge for edge in e), True),
+        lambda e: [(0, 1, float(e[0][2]))] + e[1:],
+        lambda e: [(_Vertex.ZERO, _Vertex.ONE, e[0][2])] + e[1:],
+        lambda e: [list(edge) for edge in e],
+        lambda e: (edge for edge in e),
     ],
     ids=["float-sign", "intenum-end", "list-triples", "generator"],
 )
-def test_from_edge_list_loop_inputs_match_int_tuples(form, bulk, k):
-    """A sign of 1.0, IntEnum ends and list triples, which only the
-    per-edge loop accepts, and a generator give the graph that plain int
-    tuples give; edges is the k-cycle, whose last edge has u > v."""
+def test_from_edge_list_loop_inputs_match_int_tuples(form, k):
+    """A sign of 1.0, IntEnum ends, list triples and a generator give the
+    graph that plain int tuples give. edges is the k-cycle, whose last
+    edge has u > v, so no form is canonical and the loop reads them all."""
     edges = [(i, (i + 1) % k, 1 if i % 2 else -1) for i in range(k)]
     assert SignedGraph.from_edge_list(k, form(edges)) == SignedGraph.from_edge_list(k, edges)
-    assert (_bulk_canonical(k, list(form(edges))) is not None) == bulk
+    assert _bulk_canonical(k, list(form(edges))) is None
 
 
 def test_sign_of_missing_edge():
@@ -182,13 +184,15 @@ _BAD_SIGNS = [0, 2, True, -1.0, 1.0, "1", None, _Vertex.ONE]
 
 @st.composite
 def edge_lists(draw):
-    """(n, edges, clean): distinct pairs with signs in any order, with
-    perturbations drawn on top; clean when the only perturbation is
-    swapped ends."""
-    n = draw(st.integers(0, 12))  # up to 66 pairs, past _BULK_MIN_EDGES
+    """(n, edges, clean): distinct pairs with signs in any order, or
+    sorted, with perturbations drawn on top; clean when the only
+    perturbation is swapped ends."""
+    n = draw(st.integers(0, 12))  # up to 66 pairs
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.permutations(pairs)) if pairs else []
     edges = [(u, v, draw(st.sampled_from([1, -1]))) for u, v in chosen[:draw(st.integers(0, len(chosen)))]]
+    if draw(st.booleans()):
+        edges.sort()  # canonical order, unless a perturbation breaks it
     clean = True
     kinds = ["swap", "repeat", "loop", "end", "sign", "length", "list"]
     # the last two change an item's shape, so they come after the others
@@ -229,18 +233,22 @@ def edge_lists(draw):
 @settings(max_examples=400, deadline=None)
 @given(edge_lists())
 def test_from_edge_list_matches_per_edge_loop(case):
-    """from_edge_list, and the bulk test alone (from_edge_list leaves
-    short lists to the loop), against the per-edge loop."""
+    """from_edge_list, and the bulk test alone, against the per-edge
+    loop. The bulk test passes exactly the lists already in canonical
+    order, tuples of exact ints as the loop would leave them, and passes
+    each as the same list."""
     n, edges, clean = case
     want = _outcome(reference_from_edge_list, n, edges)
     assert _outcome(SignedGraph.from_edge_list, n, edges) == want
     given_list = list(edges)
     canon = _bulk_canonical(n, given_list)
     assert given_list == edges  # left as it was
+    exact = all(type(e) is tuple and all(type(x) is int for x in e) for e in edges)
+    assert (canon is not None) == (exact and repr(SignedGraph(n, tuple(edges))) == want)
     if canon is not None:
+        assert canon is given_list
         assert repr(SignedGraph(n, tuple(canon))) == want
     if clean:
-        assert canon is not None  # a plain list passes the bulk test
         g = SignedGraph.from_edge_list(n, edges)
         assert g.connected() == reference_connected(g)
         assert g.max_degree() == reference_max_degree(g)
@@ -260,6 +268,63 @@ def test_graph_from_json_matches_per_edge_loop(case, data):
             raw[i] = data.draw(st.sampled_from([[0, 1, 1], 7, "edge", None]))
     payload = {"n": n, "edges": raw}
     assert _outcome(graph_from_json, payload) == _outcome(reference_graph_from_json, payload)
+
+
+def reference_rows(g):
+    """Each vertex's (neighbour, sign) pairs, sorted by neighbour."""
+    rows = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        rows[u].append((v, s))
+        rows[v].append((u, s))
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.data())
+def test_adjacency_rows_come_sorted_from_canonical_edges(case, data):
+    """_adj keeps the order the canonical edges give, with no sort of
+    its own: every row is sorted, for a graph read from an edge list and
+    for what switch and negate_signature make of it, and
+    realize_min_signature for the edge sets of frustration_index and
+    min_deletion_balancing, all built straight from its edges."""
+    n, edges, _ = case
+    try:
+        g = SignedGraph.from_edge_list(n, edges)
+    except InputError:
+        return
+    members = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    graphs = [g, switch(g, members), negate_signature(g),
+              realize_min_signature(g, frustration_index(g)[1])]
+    if g.m <= 8:
+        _, dropped = min_deletion_balancing(g)
+        graphs.append(realize_min_signature(g, dropped))
+    for h in graphs:
+        assert h._adj == reference_rows(h)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: gen_path(2002),
+    lambda: gen_gst(500, 3),
+    lambda: gen_cycle(1500),
+    lambda: gen_random_tree(7, 2000),
+], ids=["path", "gst", "cycle", "tree"])
+def test_graph_json_of_relabeled_graphs_passes_the_bulk_test(family, monkeypatch):
+    """The relabeled large graphs that simulate reads, as graph_to_json
+    writes them, reach SignedGraph as the same list graph_from_json
+    read, with no pass through the loop."""
+    g0 = family()
+    p = np.random.default_rng(g0.n).permutation(g0.n)
+    g = SignedGraph.from_edge_list(g0.n, [(int(p[u]), int(p[v]), s) for u, v, s in g0.edges])
+    seen = []
+
+    def spy(n, edges):
+        seen.append((edges, _bulk_canonical(n, edges)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(graph_module, "_bulk_canonical", spy)
+    assert graph_from_json(graph_to_json(g)) == g
+    [(edges, canon)] = seen
+    assert canon is edges
 
 
 @settings(max_examples=60, deadline=None)

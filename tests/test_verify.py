@@ -3,11 +3,13 @@ import json
 import math
 import shlex
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from signedspread.engine import MODE_RID
 from signedspread.errors import CapacityError, InputError
 from signedspread.families import gen_cycle, gen_gst, gen_path
 from signedspread.graph import SignedGraph, frustration_index, graph_from_json, graph_to_json
@@ -61,6 +63,21 @@ def test_every_claim_repro_runs(monkeypatch, capsys):
                 assert json.loads(out)["schema"] == 1, stage
 
 
+def test_burning_relation_skips_when_a_relaxed_solve_runs_out(monkeypatch):
+    # a partial rID min_steps report is a budget signal, as in every
+    # other claim, not a step count that falls outside the relation
+    min_steps = verify.min_steps
+
+    def partial_rid(g, mode, budget):
+        report = min_steps(g, mode, budget)
+        return replace(report, optimal=False) if mode == MODE_RID else report
+
+    monkeypatch.setattr(verify, "min_steps", partial_rid)
+    result = verify_claim("burning_relation")
+    assert result.status == "skipped"
+    assert result.detail == "solver budget exhausted mid-claim"
+
+
 def test_run_suite_zero_budget_skips_everything():
     results = run_suite(budget=Budget(nodes=0))
     assert len(results) == len(CLAIMS)
@@ -76,6 +93,7 @@ def test_conjecture_claim_with_every_instance_skipped(claim_id):
     result = CLAIMS[claim_id](Budget(nodes=0))
     assert result.status == "skipped"
     assert (result.instance, result.repro) == (normal["instance"], normal["repro"])
+    assert result.expected == normal["expected"] == "0 violations"
     first = [label for label, _ in family_instances()[:3]]
     assert result.detail == "; ".join(f"{label}: budget exhausted" for label in first)
 
